@@ -52,12 +52,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "core/rdfql.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "workload/university_generator.h"
 
 #include "bench_reporting.h"
@@ -303,13 +303,6 @@ void BM_MixAlertsOn(benchmark::State& state) {
 }
 BENCHMARK(BM_MixAlertsOn)->Unit(benchmark::kMillisecond);
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 uint64_t Median(std::vector<uint64_t> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
@@ -326,13 +319,13 @@ void ReportPairedOverhead() {
   constexpr int kReps = 11;
   std::vector<uint64_t> ungoverned, disabled, armed_ns;
   for (int i = 0; i < kReps; ++i) {
-    uint64_t t0 = NowNs();
+    uint64_t t0 = SteadyNowNs();
     size_t a = RunMixPlain(plain);
-    uint64_t t1 = NowNs();
+    uint64_t t1 = SteadyNowNs();
     size_t b = RunMixChecked(plain);
-    uint64_t t2 = NowNs();
+    uint64_t t2 = SteadyNowNs();
     size_t c = RunMixChecked(armed);
-    uint64_t t3 = NowNs();
+    uint64_t t3 = SteadyNowNs();
     RDFQL_CHECK(a == b && b == c);
     ungoverned.push_back(t1 - t0);
     disabled.push_back(t2 - t1);
@@ -365,12 +358,12 @@ void ReportQueryLogOverhead() {
   std::vector<uint64_t> off_ns, on_ns;
   for (int i = 0; i < kReps; ++i) {
     SharedEngine().SetQueryLog(nullptr);
-    uint64_t t0 = NowNs();
+    uint64_t t0 = SteadyNowNs();
     size_t a = RunMixEngine();
-    uint64_t t1 = NowNs();
+    uint64_t t1 = SteadyNowNs();
     SharedEngine().SetQueryLog(&RingOnlyLog());
     size_t b = RunMixEngine();
-    uint64_t t2 = NowNs();
+    uint64_t t2 = SteadyNowNs();
     SharedEngine().SetQueryLog(nullptr);
     RDFQL_CHECK(a == b);
     off_ns.push_back(t1 - t0);
@@ -399,12 +392,12 @@ void ReportMonitorOverhead() {
   std::vector<uint64_t> off_ns, on_ns;
   for (int i = 0; i < kReps; ++i) {
     SharedEngine().EnableLiveMonitoring(false);
-    uint64_t t0 = NowNs();
+    uint64_t t0 = SteadyNowNs();
     size_t a = RunMixEngine();
-    uint64_t t1 = NowNs();
+    uint64_t t1 = SteadyNowNs();
     SharedEngine().EnableLiveMonitoring(true);
     size_t b = RunMixEngine();
-    uint64_t t2 = NowNs();
+    uint64_t t2 = SteadyNowNs();
     SharedEngine().EnableLiveMonitoring(false);
     RDFQL_CHECK(a == b);
     off_ns.push_back(t1 - t0);
@@ -434,13 +427,13 @@ void ReportProfilerOverhead() {
   constexpr int kReps = 11;
   std::vector<uint64_t> off_ns, on_ns;
   for (int i = 0; i < kReps; ++i) {
-    uint64_t t0 = NowNs();
+    uint64_t t0 = SteadyNowNs();
     size_t a = RunMixEngine();
-    uint64_t t1 = NowNs();
+    uint64_t t1 = SteadyNowNs();
     RDFQL_CHECK(SharedEngine().EnableProfiling(97).ok());
     size_t b = RunMixEngine();
     SharedEngine().DisableProfiling();
-    uint64_t t2 = NowNs();
+    uint64_t t2 = SteadyNowNs();
     RDFQL_CHECK(a == b);
     off_ns.push_back(t1 - t0);
     on_ns.push_back(t2 - t1);
@@ -470,12 +463,12 @@ void ReportAlertsOverhead() {
   std::vector<uint64_t> off_ns, on_ns;
   for (int i = 0; i < kReps; ++i) {
     AlertsOff();
-    uint64_t t0 = NowNs();
+    uint64_t t0 = SteadyNowNs();
     size_t a = RunMixEngine();
-    uint64_t t1 = NowNs();
+    uint64_t t1 = SteadyNowNs();
     AlertsOn();
     size_t b = RunMixEngine();
-    uint64_t t2 = NowNs();
+    uint64_t t2 = SteadyNowNs();
     AlertsOff();
     RDFQL_CHECK(a == b);  // alerting must not change query results
     off_ns.push_back(t1 - t0);

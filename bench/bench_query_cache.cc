@@ -36,13 +36,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/rdfql.h"
 #include "util/check.h"
+#include "util/clock.h"
 #include "workload/university_generator.h"
 
 #include "bench_reporting.h"
@@ -150,13 +150,6 @@ void BM_UniqueAdversarial(benchmark::State& state) {
 }
 BENCHMARK(BM_UniqueAdversarial)->Unit(benchmark::kMillisecond);
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 template <typename T>
 T Median(std::vector<T> v) {
   std::sort(v.begin(), v.end());
@@ -188,15 +181,15 @@ int RunPairedAttempt(QueryCache* cache, const EvalOptions& off, double* out_cold
     size_t a = 0, c = 0;
     auto run_cold = [&] {
       SharedEngine().SetQueryCache(nullptr);
-      uint64_t t0 = NowNs();
+      uint64_t t0 = SteadyNowNs();
       for (int k = 0; k < kMixPerSweep; ++k) a = RunMix();
-      cold = NowNs() - t0;
+      cold = SteadyNowNs() - t0;
     };
     auto run_bypass = [&] {
       SharedEngine().SetQueryCache(cache);
-      uint64_t t0 = NowNs();
+      uint64_t t0 = SteadyNowNs();
       for (int k = 0; k < kMixPerSweep; ++k) c = RunMix(off);
-      bypass = NowNs() - t0;
+      bypass = SteadyNowNs() - t0;
     };
     if (i % 2 == 0) {
       run_cold();
@@ -206,10 +199,10 @@ int RunPairedAttempt(QueryCache* cache, const EvalOptions& off, double* out_cold
       run_cold();
     }
     SharedEngine().SetQueryCache(cache);
-    uint64_t t0 = NowNs();
+    uint64_t t0 = SteadyNowNs();
     size_t b = 0;
     for (int k = 0; k < kMixPerSweep; ++k) b = RunMix();
-    uint64_t warm = NowNs() - t0;
+    uint64_t warm = SteadyNowNs() - t0;
     SharedEngine().SetQueryCache(nullptr);
     RDFQL_CHECK(a == b && b == c);
     cold_ns.push_back(cold);

@@ -16,24 +16,12 @@
 #include "transform/opt_rewriter.h"
 #include "transform/select_free.h"
 #include "transform/wd_to_simple.h"
+#include "util/check.h"
+#include "util/clock.h"
 #include "util/profile_state.h"
 
 namespace rdfql {
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-uint64_t UnixMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
 
 /// The query log's typed-outcome vocabulary, one token per StatusCode.
 const char* OutcomeString(StatusCode code) {
@@ -63,19 +51,6 @@ const char* OutcomeString(StatusCode code) {
 bool CrossedSlowThreshold(const QueryLogRecord& record, const QueryLog& log) {
   uint64_t slow_ms = log.options().slow_ms;
   return slow_ms != 0 && record.parse_ns + record.eval_ns >= slow_ms * 1'000'000;
-}
-
-std::string PhaseString(uint64_t ns) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%lluns",
-                  static_cast<unsigned long long>(ns));
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", static_cast<double>(ns) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(ns) / 1e6);
-  }
-  return buf;
 }
 
 std::string BytesString(uint64_t bytes) {
@@ -126,10 +101,6 @@ const char* OutcomeForFailure(const Status& status, InflightSlot* slot) {
   return OutcomeString(status.code());
 }
 
-bool WatchdogTripped(InflightSlot* slot) {
-  return slot != nullptr && slot->watchdog_cancelled();
-}
-
 }  // namespace
 
 Engine::~Engine() {
@@ -138,17 +109,17 @@ Engine::~Engine() {
 }
 
 std::string QueryExplanation::ToString() const {
-  std::string out = "parse: " + PhaseString(parse_ns) +
-                    "  eval: " + PhaseString(eval_ns) + "  mem: peak " +
+  std::string out = "parse: " + DurationString(parse_ns) +
+                    "  eval: " + DurationString(eval_ns) + "  mem: peak " +
                     std::to_string(peak_mappings) + " mappings / " +
                     BytesString(peak_bytes) + "\n";
   out += "limits: " + LimitsString(limits) + "\n";
   if (!cache_note.empty()) out += "cache: " + cache_note + "\n";
   if (hist_queries > 0) {
     out += "time: eval p50=" +
-           PhaseString(static_cast<uint64_t>(eval_p50_ns)) +
-           " p90=" + PhaseString(static_cast<uint64_t>(eval_p90_ns)) +
-           " p99=" + PhaseString(static_cast<uint64_t>(eval_p99_ns)) +
+           DurationString(static_cast<uint64_t>(eval_p50_ns)) +
+           " p90=" + DurationString(static_cast<uint64_t>(eval_p90_ns)) +
+           " p99=" + DurationString(static_cast<uint64_t>(eval_p99_ns)) +
            " (n=" + std::to_string(hist_queries) + ")\n";
   }
   out += explanation.ToString();
@@ -228,26 +199,6 @@ Engine::CacheContext Engine::ResolveCache(std::string_view query,
   return cc;
 }
 
-std::shared_ptr<const MappingSet> Engine::CacheResultLookup(
-    CacheContext* cc, const std::string& graph_name,
-    const EvalOptions& options) {
-  auto it = graphs_.find(graph_name);
-  if (it == graphs_.end()) {
-    // Unknown graph: let the normal path surface NotFound (and don't
-    // store under a meaningless epoch).
-    cc->result_on = false;
-    return nullptr;
-  }
-  cc->graph_epoch = it->second.Epoch();
-  cc->epoch_known = true;
-  ResultCacheKey key{cc->hash, graph_name, cc->graph_epoch,
-                     EvalOptionsFingerprint(options)};
-  std::shared_ptr<const MappingSet> hit =
-      cc->cache->GetResult(key, cc->canonical);
-  if (hit != nullptr) cc->result_hit = true;
-  return hit;
-}
-
 Result<PatternPtr> Engine::ParseCached(CacheContext* cc,
                                        std::string_view query,
                                        std::string* fragment) {
@@ -274,216 +225,6 @@ Result<PatternPtr> Engine::ParseCached(CacheContext* cc,
   return parsed;
 }
 
-void Engine::CacheStoreResult(const CacheContext& cc,
-                              const std::string& graph_name,
-                              const EvalOptions& options,
-                              const MappingSet& result) {
-  if (!cc.result_on || !cc.epoch_known || cc.result_hit) return;
-  ResultCacheKey key{cc.hash, graph_name, cc.graph_epoch,
-                     EvalOptionsFingerprint(options)};
-  cc.cache->PutResult(key, cc.canonical, result);
-}
-
-Result<MappingSet> Engine::Query(const std::string& graph_name,
-                                 std::string_view query,
-                                 EvalOptions options) {
-  QueryLog* log =
-      options.query_log != nullptr ? options.query_log : default_query_log_;
-  if (log != nullptr) {
-    // QueryLogged opens its own Engine::Query frame — pushing one here too
-    // would double it in every sampled stack.
-    return QueryLogged(graph_name, query, std::move(options), log);
-  }
-  ProfileFrame profile_frame("Engine::Query");
-  // Register with the in-flight registry (monitoring opt-in); the nested
-  // Eval below borrows this slot and fills in fragment, threads and the
-  // eval phase.
-  InflightScope monitor(live_monitoring_ ? &inflight_ : nullptr, graph_name,
-                        query, live_monitoring_ ? StableQueryHash(query) : 0);
-  if (monitor.slot() != nullptr) monitor.slot()->SetPhase(QueryPhase::kParsing);
-  CacheContext cc = ResolveCache(query, options);
-  if (cc.result_on) {
-    uint64_t t0 = collect_metrics_ ? NowNs() : 0;
-    if (std::shared_ptr<const MappingSet> hit =
-            CacheResultLookup(&cc, graph_name, options)) {
-      if (collect_metrics_) {
-        metrics_.GetCounter("engine.queries")->Inc();
-        // The lookup+copy *is* this query's evaluation; observing it keeps
-        // the latency histogram honest about what callers experienced.
-        uint64_t hit_ns = NowNs() - t0;
-        metrics_.GetHistogram("engine.eval_ns")->Observe(hit_ns);
-        if (alerts_ != nullptr && alerts_->wants_fragments()) {
-          // The fragment rides on the plan entry; peek so the lookup stays
-          // out of the plan cache's hit/miss accounting.
-          if (CachedPlanPtr plan = cc.cache->PeekPlan(cc.hash, cc.canonical)) {
-            ObserveFragmentLatency(plan->fragment, hit_ns);
-          }
-        }
-      }
-      return MappingSet(*hit);
-    }
-  }
-  if (!collect_metrics_) {
-    PatternPtr pattern;
-    {
-      ProfileFrame parse_frame("Parse");
-      RDFQL_ASSIGN_OR_RETURN(pattern, ParseCached(&cc, query, nullptr));
-    }
-    Result<MappingSet> result = Eval(graph_name, pattern, options);
-    if (result.ok()) CacheStoreResult(cc, graph_name, options, result.value());
-    return result;
-  }
-  metrics_.GetCounter("engine.queries")->Inc();
-  uint64_t t0 = NowNs();
-  PatternPtr pattern;
-  {
-    ProfileFrame parse_frame("Parse");
-    RDFQL_ASSIGN_OR_RETURN(pattern, ParseCached(&cc, query, nullptr));
-  }
-  metrics_.GetHistogram("engine.parse_ns")->Observe(NowNs() - t0);
-  Result<MappingSet> result = Eval(graph_name, pattern, options);
-  if (result.ok()) CacheStoreResult(cc, graph_name, options, result.value());
-  return result;
-}
-
-Result<MappingSet> Engine::QueryLogged(const std::string& graph_name,
-                                       std::string_view query,
-                                       EvalOptions options, QueryLog* log) {
-  ProfileFrame profile_frame("Engine::Query");
-  QueryLogRecord rec;
-  rec.correlation_id = log->NextCorrelationId();
-  rec.query_hash = StableQueryHash(query);
-  rec.graph = graph_name;
-  rec.query = std::string(query);
-  rec.unix_ms = UnixMs();
-
-  InflightScope monitor(live_monitoring_ ? &inflight_ : nullptr, graph_name,
-                        query, rec.query_hash);
-  InflightSlot* slot = monitor.slot();
-  if (slot != nullptr) {
-    slot->SetCorrelationId(rec.correlation_id);
-    slot->SetPhase(QueryPhase::kParsing);
-  }
-
-  CacheContext cc = ResolveCache(query, options);
-  if (cc.result_on) {
-    uint64_t t0c = NowNs();
-    if (std::shared_ptr<const MappingSet> hit =
-            CacheResultLookup(&cc, graph_name, options)) {
-      rec.eval_ns = NowNs() - t0c;
-      rec.cache = cc.LogOutcome();
-      // The fragment rides along on the plan entry; recover it without
-      // touching the plan cache's hit/miss accounting.
-      if (CachedPlanPtr plan = cc.cache->PeekPlan(cc.hash, cc.canonical)) {
-        rec.fragment = plan->fragment;
-      }
-      rec.rows_out = hit->size();
-      if (collect_metrics_) {
-        metrics_.GetCounter("engine.queries")->Inc();
-        metrics_.GetHistogram("engine.eval_ns")->Observe(rec.eval_ns);
-        ObserveFragmentLatency(rec.fragment, rec.eval_ns);
-      }
-      rec.slow = CrossedSlowThreshold(rec, *log);
-      log->Record(std::move(rec));
-      return MappingSet(*hit);
-    }
-  }
-
-  if (collect_metrics_) metrics_.GetCounter("engine.queries")->Inc();
-  uint64_t t0 = NowNs();
-  Result<PatternPtr> parsed = [&] {
-    ProfileFrame parse_frame("Parse");
-    return ParseCached(&cc, query, &rec.fragment);
-  }();
-  rec.parse_ns = NowNs() - t0;
-  if (collect_metrics_) {
-    metrics_.GetHistogram("engine.parse_ns")->Observe(rec.parse_ns);
-  }
-  if (!parsed.ok()) {
-    rec.cache = cc.LogOutcome();
-    rec.outcome = OutcomeString(parsed.status().code());
-    rec.error = parsed.status().message();
-    rec.slow = CrossedSlowThreshold(rec, *log);
-    log->Record(std::move(rec));
-    return parsed.status();
-  }
-  PatternPtr pattern = *std::move(parsed);
-  if (slot != nullptr) slot->SetFragment(rec.fragment);
-
-  Result<const Graph*> graph = GetGraph(graph_name);
-  if (!graph.ok()) {
-    rec.cache = cc.LogOutcome();
-    rec.outcome = OutcomeString(graph.status().code());
-    rec.error = graph.status().message();
-    log->Record(std::move(rec));
-    return graph.status();
-  }
-
-  options = WithEngineDefaults(options);
-  rec.threads = options.threads < 1 ? 1 : options.threads;
-  if (slot != nullptr) slot->SetThreads(rec.threads);
-  if (collect_metrics_ && options.metrics == nullptr) {
-    options.metrics = &metrics_;
-  }
-  // The log always accounts memory (its records carry peak figures); a
-  // caller-provided accountant wins, exactly as on the unlogged path. With
-  // a registry slot, the slot-owned accountant is used instead of a local
-  // one so snapshots see the query's live figures, and the slot's token is
-  // wired in so the watchdog can cancel the query mid-flight.
-  ResourceAccountant acct;
-  if (options.accountant == nullptr) {
-    options.accountant = slot != nullptr ? slot->accountant() : &acct;
-  }
-  if (slot != nullptr && options.cancel == nullptr) {
-    options.cancel = slot->token();
-  }
-
-  if (slot != nullptr) slot->SetPhase(QueryPhase::kEvaluating);
-  t0 = NowNs();
-  Result<MappingSet> result = [&] {
-    ProfileFrame eval_frame("Eval");
-    return Evaluator(*graph, options).EvalChecked(pattern);
-  }();
-  rec.eval_ns = NowNs() - t0;
-  if (slot != nullptr) slot->SetPhase(QueryPhase::kFinishing);
-  // One measured value into both sinks: the engine histogram and the log
-  // record see the same eval_ns, so rdfql_stats over the log reproduces
-  // MetricsSnapshot's percentiles exactly.
-  if (collect_metrics_) {
-    metrics_.GetHistogram("engine.eval_ns")->Observe(rec.eval_ns);
-    ObserveFragmentLatency(rec.fragment, rec.eval_ns);
-    RecordAccounting(*options.accountant);
-  }
-  rec.peak_mappings = options.accountant->peak_mappings();
-  rec.peak_bytes = options.accountant->peak_bytes();
-  rec.total_mappings = options.accountant->total_mappings();
-  if (result.ok()) {
-    rec.rows_out = result.value().size();
-    CacheStoreResult(cc, graph_name, options, result.value());
-  } else {
-    RecordRejection(result.status(), WatchdogTripped(slot));
-    rec.outcome = OutcomeForFailure(result.status(), slot);
-    rec.error = result.status().message();
-  }
-  rec.cache = cc.LogOutcome();
-  rec.slow = CrossedSlowThreshold(rec, *log);
-  if (rec.slow && log->options().explain_slow && result.ok()) {
-    // Capture the full EXPLAIN ANALYZE for the offender: one bounded
-    // re-run under a tracer, governance and accounting cleared so the
-    // capture itself cannot be rejected or skew the figures.
-    EvalOptions explain_options = options;
-    explain_options.limits = ResourceLimits{};
-    explain_options.deadline = Deadline{};
-    explain_options.cancel = nullptr;
-    explain_options.accountant = nullptr;
-    explain_options.metrics = nullptr;
-    rec.explain =
-        ExplainEval(**graph, pattern, dict_, explain_options).ToString();
-  }
-  log->Record(std::move(rec));
-  return result;
-}
-
 void Engine::SetDefaultThreads(int threads) {
   default_threads_ = threads < 1 ? 1 : threads;
   // Resize (or drop) the shared pool; queries in flight are the caller's
@@ -494,82 +235,263 @@ void Engine::SetDefaultThreads(int threads) {
   }
 }
 
-EvalOptions Engine::WithEngineDefaults(EvalOptions options) const {
-  if (options.threads <= 1 && default_threads_ > 1) {
-    options.threads = default_threads_;
-    options.pool = pool_.get();
-  }
-  // Per-query limits win wholesale; otherwise the engine default applies.
-  if (!options.limits.Enforced()) {
-    options.limits = default_limits_;
-  }
-  // Same pattern for the query log sink.
-  if (options.query_log == nullptr) {
-    options.query_log = default_query_log_;
-  }
-  return options;
+Result<MappingSet> Engine::Query(const std::string& graph_name,
+                                 std::string_view query,
+                                 EvalOptions options) {
+  ProfileFrame profile_frame("Engine::Query");
+  return Run(graph_name, query, nullptr, std::move(options), nullptr);
 }
 
 Result<MappingSet> Engine::Eval(const std::string& graph_name,
                                 const PatternPtr& pattern,
                                 EvalOptions options) {
-  RDFQL_ASSIGN_OR_RETURN(const Graph* graph, GetGraph(graph_name));
-  // Direct Eval calls register with the in-flight registry too; nested
-  // calls (Query -> Eval) borrow the slot their Query already registered.
-  // The pattern is printed back to its concrete syntax only when this call
-  // owns a fresh registration.
+  RDFQL_CHECK(pattern != nullptr);
+  return Run(graph_name, {}, pattern, std::move(options), nullptr);
+}
+
+Result<QueryExplanation> Engine::QueryExplained(const std::string& graph_name,
+                                                std::string_view query,
+                                                EvalOptions options) {
+  ProfileFrame profile_frame("Engine::QueryExplained");
+  QueryExplanation out;
+  RDFQL_ASSIGN_OR_RETURN(
+      out.explanation.result,
+      Run(graph_name, query, nullptr, std::move(options), &out));
+  return out;
+}
+
+Result<MappingSet> Engine::Run(const std::string& graph_name,
+                               std::string_view text, PatternPtr pattern,
+                               EvalOptions options,
+                               QueryExplanation* explain) {
+  QueryLog* log = default_query_log_;
   InflightRegistry* registry = live_monitoring_ ? &inflight_ : nullptr;
-  std::string pattern_text;
-  if (registry != nullptr && InflightScope::CurrentSlot() == nullptr) {
-    pattern_text = PatternToString(pattern, dict_);
+  // Someone reads this query's timings and memory figures.
+  const bool measured =
+      collect_metrics_ || log != nullptr || explain != nullptr;
+  if (collect_metrics_) metrics_.GetCounter("engine.queries")->Inc();
+
+  // Identity, computed only for a consumer (the log or the registry): a
+  // parsed pattern is printed back to its concrete syntax, and the cache's
+  // hash of the canonical text is reused when it was computed.
+  std::string printed;
+  if (pattern != nullptr && (log != nullptr || registry != nullptr)) {
+    printed = PatternToString(pattern, dict_);
+    text = printed;
   }
-  InflightScope monitor(
-      registry, graph_name, pattern_text,
-      pattern_text.empty() ? 0 : StableQueryHash(pattern_text));
+  CacheContext cc =
+      pattern == nullptr ? ResolveCache(text, options) : CacheContext{};
+  uint64_t query_hash = 0;
+  if (log != nullptr || registry != nullptr) {
+    query_hash = cc.plan_on || cc.result_on ? cc.hash : StableQueryHash(text);
+  }
+  QueryLogRecord rec;
+  if (log != nullptr) {
+    rec.correlation_id = log->NextCorrelationId();
+    rec.query_hash = query_hash;
+    rec.graph = graph_name;
+    rec.query = std::string(text);
+    rec.unix_ms = UnixNowMs();
+  }
+  InflightScope monitor(registry, graph_name, text, query_hash);
   InflightSlot* slot = monitor.slot();
-  options = WithEngineDefaults(options);
-  // The fragment is classified when someone consumes it: a registry slot,
-  // or a fragment-scoped alert rule wanting its latency histogram.
-  std::string fragment;
-  if (slot != nullptr ||
-      (collect_metrics_ && alerts_ != nullptr && alerts_->wants_fragments())) {
-    fragment = DescribeFragment(pattern);
-  }
   if (slot != nullptr) {
-    slot->SetFragment(fragment);
-    slot->SetThreads(options.threads < 1 ? 1 : options.threads);
-    if (options.accountant == nullptr) options.accountant = slot->accountant();
-    if (options.cancel == nullptr) options.cancel = slot->token();
+    slot->SetCorrelationId(rec.correlation_id);
+    slot->SetPhase(QueryPhase::kParsing);
   }
-  bool governed = options.governed();
-  ProfileFrame eval_frame("Eval");
-  if (!collect_metrics_ && !governed) {
-    return EvalPattern(*graph, pattern, options);
+  // The fragment is classified only for a consumer: the log, the slot, or
+  // a fragment-scoped alert rule wanting its latency histogram.
+  std::string* fragment =
+      log != nullptr || slot != nullptr ||
+              (collect_metrics_ && alerts_ != nullptr &&
+               alerts_->wants_fragments())
+          ? &rec.fragment
+          : nullptr;
+
+  // The graph's epoch is read before evaluation: the engine's
+  // no-writes-during-queries contract makes it the state the evaluation
+  // sees. An unknown graph turns result caching off; its NotFound surfaces
+  // after the parse, so a malformed query still reports parse_error.
+  Result<const Graph*> graph = GetGraph(graph_name);
+  if (cc.result_on) {
+    if (graph.ok()) {
+      cc.graph_epoch = (*graph)->Epoch();
+    } else {
+      cc.result_on = false;
+    }
   }
-  if (collect_metrics_ && options.metrics == nullptr) {
-    options.metrics = &metrics_;
+
+  Status status;
+  MappingSet rows;
+  std::shared_ptr<const MappingSet> hit;
+  bool evaluated = false;
+  ResourceAccountant local_acct;
+  std::optional<Tracer> tracer;
+  uint64_t t0 = measured ? SteadyNowNs() : 0;
+  // EXPLAIN always evaluates (a served result would leave nothing to
+  // instrument); its answer is still stored for later plain queries.
+  if (cc.result_on && explain == nullptr) {
+    hit = cc.cache->GetResult(
+        ResultCacheKey{cc.hash, graph_name, cc.graph_epoch,
+                       EvalOptionsFingerprint(options)},
+        cc.canonical);
   }
-  // Per-query memory accounting rides on the metrics opt-in: a fresh
-  // accountant per query, folded into the registry afterwards. A
-  // caller-provided accountant wins (and the caller reads it directly).
-  // Governed-only queries without metrics skip it — EvalChecked creates
-  // its own accountant when the limits need one.
-  ResourceAccountant acct;
-  if (collect_metrics_ && options.accountant == nullptr) {
-    options.accountant = &acct;
+  if (hit != nullptr) {
+    // The lookup *is* this query's evaluation.
+    rec.eval_ns = measured ? SteadyNowNs() - t0 : 0;
+    cc.result_hit = true;
+    // The fragment rides on the plan entry; peek so the lookup stays out
+    // of the plan cache's hit/miss accounting.
+    if (fragment != nullptr) {
+      if (CachedPlanPtr plan = cc.cache->PeekPlan(cc.hash, cc.canonical)) {
+        *fragment = plan->fragment;
+      }
+    }
+    rows = MappingSet(*hit);
+  } else {
+    if (pattern == nullptr) {
+      Result<PatternPtr> parsed = [&] {
+        ProfileFrame parse_frame("Parse");
+        return ParseCached(&cc, text, fragment);
+      }();
+      rec.parse_ns = measured ? SteadyNowNs() - t0 : 0;
+      if (collect_metrics_) {
+        metrics_.GetHistogram("engine.parse_ns")->Observe(rec.parse_ns);
+      }
+      if (parsed.ok()) {
+        pattern = std::move(parsed).value();
+      } else {
+        status = parsed.status();
+      }
+    } else if (fragment != nullptr) {
+      *fragment = DescribeFragment(pattern);
+    }
+    if (status.ok() && slot != nullptr) slot->SetFragment(rec.fragment);
+    if (status.ok() && !graph.ok()) status = graph.status();
+    if (status.ok()) {
+      // Engine defaults: threads on the shared pool, and limits unless the
+      // query carries its own (per-query limits win wholesale).
+      if (options.threads <= 1 && default_threads_ > 1) {
+        options.threads = default_threads_;
+        options.pool = pool_.get();
+      }
+      if (!options.limits.Enforced()) options.limits = default_limits_;
+      rec.threads = options.threads < 1 ? 1 : options.threads;
+      if (slot != nullptr) slot->SetThreads(rec.threads);
+      if (collect_metrics_ && options.metrics == nullptr) {
+        options.metrics = &metrics_;
+      }
+      // A caller-provided accountant wins; then the slot's, so snapshots
+      // see the live figures; then a local one when the figures are read.
+      // The slot's token is wired in so the watchdog can cancel the query.
+      if (options.accountant == nullptr) {
+        options.accountant = slot != nullptr ? slot->accountant()
+                             : measured      ? &local_acct
+                                             : nullptr;
+      }
+      if (slot != nullptr && options.cancel == nullptr) {
+        options.cancel = slot->token();
+      }
+      if (explain != nullptr) {
+        tracer.emplace();
+        options.tracer = &*tracer;
+        options.trace_dict = &dict_;
+        explain->limits = options.limits;
+      }
+      if (slot != nullptr) slot->SetPhase(QueryPhase::kEvaluating);
+      t0 = measured ? SteadyNowNs() : 0;
+      Result<MappingSet> result = [&] {
+        ProfileFrame eval_frame("Eval");
+        return Evaluator(*graph, options).EvalChecked(pattern);
+      }();
+      rec.eval_ns = measured ? SteadyNowNs() - t0 : 0;
+      if (slot != nullptr) slot->SetPhase(QueryPhase::kFinishing);
+      evaluated = true;
+      if (const ResourceAccountant* acct = options.accountant) {
+        rec.peak_mappings = acct->peak_mappings();
+        rec.peak_bytes = acct->peak_bytes();
+        rec.total_mappings = acct->total_mappings();
+      }
+      if (result.ok()) {
+        rows = std::move(result).value();
+      } else {
+        status = result.status();
+      }
+    }
   }
-  if (slot != nullptr) slot->SetPhase(QueryPhase::kEvaluating);
-  uint64_t t0 = NowNs();
-  Result<MappingSet> result = Evaluator(graph, options).EvalChecked(pattern);
-  if (slot != nullptr) slot->SetPhase(QueryPhase::kFinishing);
-  if (collect_metrics_) {
-    uint64_t eval_ns = NowNs() - t0;
-    metrics_.GetHistogram("engine.eval_ns")->Observe(eval_ns);
-    ObserveFragmentLatency(fragment, eval_ns);
-    RecordAccounting(*options.accountant);
+
+  // One measured value into every sink: the engine histogram and the log
+  // record see the same eval_ns, so rdfql_stats over the log reproduces
+  // MetricsSnapshot's percentiles exactly.
+  if (collect_metrics_ && (evaluated || hit != nullptr)) {
+    Histogram* eval_hist = metrics_.GetHistogram("engine.eval_ns");
+    eval_hist->Observe(rec.eval_ns);
+    ObserveFragmentLatency(rec.fragment, rec.eval_ns);
+    if (evaluated) RecordAccounting(*options.accountant);
+    if (explain != nullptr) {
+      explain->hist_queries = eval_hist->Count();
+      explain->eval_p50_ns = eval_hist->Percentile(0.5);
+      explain->eval_p90_ns = eval_hist->Percentile(0.9);
+      explain->eval_p99_ns = eval_hist->Percentile(0.99);
+    }
   }
-  if (!result.ok()) RecordRejection(result.status(), WatchdogTripped(slot));
-  return result;
+  if (status.ok()) {
+    if (cc.result_on && !cc.result_hit) {
+      cc.cache->PutResult(
+          ResultCacheKey{cc.hash, graph_name, cc.graph_epoch,
+                         EvalOptionsFingerprint(options)},
+          cc.canonical, rows);
+    }
+  } else {
+    RecordRejection(status, slot != nullptr && slot->watchdog_cancelled());
+  }
+  if (explain != nullptr) {
+    explain->parse_ns = rec.parse_ns;
+    explain->eval_ns = rec.eval_ns;
+    explain->peak_mappings = rec.peak_mappings;
+    explain->peak_bytes = rec.peak_bytes;
+    explain->total_mappings = rec.total_mappings;
+    explain->correlation_id = rec.correlation_id;
+    explain->cache_note = cc.ExplainNote();
+    if (tracer.has_value() && tracer->root() != nullptr) {
+      explain->explanation.plan = PlanFromSpan(*tracer->root());
+      if (rec.correlation_id != 0) {
+        explain->explanation.plan->counters.emplace_back("correlation_id",
+                                                         rec.correlation_id);
+      }
+    }
+  }
+  if (log != nullptr) {
+    rec.cache = cc.LogOutcome();
+    if (status.ok()) {
+      rec.rows_out = rows.size();
+    } else {
+      rec.outcome = OutcomeForFailure(status, slot);
+      rec.error = status.message();
+    }
+    rec.slow = CrossedSlowThreshold(rec, *log);
+    if (rec.slow && log->options().explain_slow && evaluated) {
+      if (explain != nullptr) {
+        // The instrumented plan is already in hand — no re-run needed.
+        rec.explain = explain->explanation.ToString();
+      } else if (status.ok()) {
+        // Capture the full EXPLAIN ANALYZE for the offender: one bounded
+        // re-run under a tracer, governance and accounting cleared so the
+        // capture itself cannot be rejected or skew the figures.
+        EvalOptions explain_options = options;
+        explain_options.limits = ResourceLimits{};
+        explain_options.deadline = Deadline{};
+        explain_options.cancel = nullptr;
+        explain_options.accountant = nullptr;
+        explain_options.metrics = nullptr;
+        rec.explain =
+            ExplainEval(**graph, pattern, dict_, explain_options).ToString();
+      }
+    }
+    log->Record(std::move(rec));
+  }
+  if (!status.ok()) return status;
+  return rows;
 }
 
 void Engine::RecordRejection(const Status& status, bool watchdog_cancelled) {
@@ -810,180 +732,6 @@ void Engine::RecordAccounting(const ResourceAccountant& acct) {
       ->Observe(acct.peak_mappings());
   metrics_.GetHistogram("engine.peak_bytes_per_query")
       ->Observe(acct.peak_bytes());
-}
-
-Result<QueryExplanation> Engine::QueryExplained(const std::string& graph_name,
-                                                std::string_view query,
-                                                EvalOptions options) {
-  ProfileFrame profile_frame("Engine::QueryExplained");
-  QueryLog* log =
-      options.query_log != nullptr ? options.query_log : default_query_log_;
-  QueryLogRecord rec;
-  if (log != nullptr) {
-    rec.correlation_id = log->NextCorrelationId();
-    rec.query_hash = StableQueryHash(query);
-    rec.graph = graph_name;
-    rec.query = std::string(query);
-    rec.unix_ms = UnixMs();
-  }
-  InflightScope monitor(live_monitoring_ ? &inflight_ : nullptr, graph_name,
-                        query, live_monitoring_ ? StableQueryHash(query) : 0);
-  InflightSlot* slot = monitor.slot();
-  if (slot != nullptr) {
-    slot->SetCorrelationId(rec.correlation_id);
-    slot->SetPhase(QueryPhase::kParsing);
-  }
-  QueryExplanation out;
-  out.correlation_id = rec.correlation_id;
-  // EXPLAIN consults the plan cache only: it always evaluates (serving a
-  // materialized result would leave nothing to instrument), so its plan
-  // tree and counters are the uncached plan exactly. The instrumented
-  // run's answer is still stored for later plain queries to hit.
-  CacheContext cc = ResolveCache(query, options);
-  if (collect_metrics_) metrics_.GetCounter("engine.queries")->Inc();
-  uint64_t t0 = NowNs();
-  Result<PatternPtr> parsed = [&] {
-    ProfileFrame parse_frame("Parse");
-    return ParseCached(&cc, query, &rec.fragment);
-  }();
-  out.parse_ns = NowNs() - t0;
-  if (!parsed.ok()) {
-    if (log != nullptr) {
-      rec.parse_ns = out.parse_ns;
-      rec.cache = cc.LogOutcome();
-      rec.outcome = OutcomeString(parsed.status().code());
-      rec.error = parsed.status().message();
-      rec.slow = CrossedSlowThreshold(rec, *log);
-      log->Record(std::move(rec));
-    }
-    return parsed.status();
-  }
-  PatternPtr pattern = *std::move(parsed);
-  rec.parse_ns = out.parse_ns;
-  if (slot != nullptr) slot->SetFragment(rec.fragment);
-  if (cc.cache != nullptr) {
-    out.cache_note =
-        cc.bypass
-            ? "bypass"
-            : std::string("plan=") +
-                  (!cc.plan_on ? "off"
-                               : cc.plan_hit ? "hit" : "miss") +
-                  " result=" + (!cc.result_on ? "off" : "live");
-  }
-  Result<const Graph*> graph_result = GetGraph(graph_name);
-  if (!graph_result.ok()) {
-    if (log != nullptr) {
-      rec.cache = cc.LogOutcome();
-      rec.outcome = OutcomeString(graph_result.status().code());
-      rec.error = graph_result.status().message();
-      log->Record(std::move(rec));
-    }
-    return graph_result.status();
-  }
-  const Graph* graph = *graph_result;
-  if (cc.result_on) {
-    // Epoch read before evaluation, mirroring CacheResultLookup: with no
-    // concurrent writes during queries, this is the state the traced
-    // evaluation sees.
-    cc.graph_epoch = graph->Epoch();
-    cc.epoch_known = true;
-  }
-  options = WithEngineDefaults(options);
-  if (slot != nullptr) {
-    slot->SetThreads(options.threads < 1 ? 1 : options.threads);
-  }
-  if (collect_metrics_ && options.metrics == nullptr) {
-    options.metrics = &metrics_;
-  }
-  // EXPLAIN ANALYZE always accounts memory, metrics opt-in or not. With a
-  // registry slot the slot-owned accountant is used, so snapshots see the
-  // instrumented run's live figures.
-  ResourceAccountant local_acct;
-  ResourceAccountant* acct = slot != nullptr ? slot->accountant() : &local_acct;
-  options.accountant = acct;
-  // Arm governance around the traced evaluation: ExplainEval's inner
-  // Evaluator polls the thread-local token, so installing it here puts
-  // the instrumented run under the same limits as Engine::Eval. A slot's
-  // token is installed even for ungoverned queries — that is the watchdog's
-  // only way in.
-  out.limits = options.limits;
-  bool governed = options.governed();
-  CancellationToken local_token;
-  CancellationToken* token = options.cancel != nullptr ? options.cancel
-                             : slot != nullptr         ? slot->token()
-                                                       : &local_token;
-  bool enforced = governed || slot != nullptr;
-  if (governed) {
-    Deadline deadline = options.deadline;
-    if (options.limits.max_wall_ms != 0) {
-      Deadline budget = Deadline::AfterMs(options.limits.max_wall_ms);
-      if (budget.SoonerThan(deadline)) deadline = budget;
-    }
-    token->ArmDeadline(deadline);
-    if (options.limits.max_live_mappings != 0 ||
-        options.limits.max_bytes != 0) {
-      acct->ArmCaps(options.limits.max_live_mappings, options.limits.max_bytes,
-                    token);
-    }
-  }
-  if (slot != nullptr) slot->SetPhase(QueryPhase::kEvaluating);
-  t0 = NowNs();
-  {
-    std::optional<ScopedCancellation> install;
-    if (enforced) install.emplace(token);
-    ProfileFrame eval_frame("Eval");
-    out.explanation = ExplainEval(*graph, pattern, dict_, options);
-  }
-  acct->DisarmCaps();
-  out.eval_ns = NowNs() - t0;
-  if (slot != nullptr) slot->SetPhase(QueryPhase::kFinishing);
-  out.peak_mappings = acct->peak_mappings();
-  out.peak_bytes = acct->peak_bytes();
-  out.total_mappings = acct->total_mappings();
-  if (collect_metrics_) {
-    metrics_.GetHistogram("engine.parse_ns")->Observe(out.parse_ns);
-    Histogram* eval_hist = metrics_.GetHistogram("engine.eval_ns");
-    eval_hist->Observe(out.eval_ns);
-    ObserveFragmentLatency(rec.fragment, out.eval_ns);
-    out.hist_queries = eval_hist->Count();
-    out.eval_p50_ns = eval_hist->Percentile(0.5);
-    out.eval_p90_ns = eval_hist->Percentile(0.9);
-    out.eval_p99_ns = eval_hist->Percentile(0.99);
-    RecordAccounting(*acct);
-  }
-  if (out.correlation_id != 0 && out.explanation.plan != nullptr) {
-    out.explanation.plan->counters.emplace_back("correlation_id",
-                                                out.correlation_id);
-  }
-  if (!(enforced && token->cancelled())) {
-    CacheStoreResult(cc, graph_name, options, out.explanation.result);
-  }
-  if (log != nullptr) {
-    rec.cache = cc.LogOutcome();
-    rec.eval_ns = out.eval_ns;
-    rec.threads = options.threads < 1 ? 1 : options.threads;
-    rec.rows_out = out.explanation.result.size();
-    rec.peak_mappings = out.peak_mappings;
-    rec.peak_bytes = out.peak_bytes;
-    rec.total_mappings = out.total_mappings;
-    if (enforced && token->cancelled()) {
-      Status status = token->status();
-      rec.outcome = OutcomeForFailure(status, slot);
-      rec.error = status.message();
-    }
-    rec.slow = CrossedSlowThreshold(rec, *log);
-    // The instrumented plan is already in hand — no re-run needed here.
-    if (rec.slow && log->options().explain_slow) {
-      rec.explain = out.explanation.ToString();
-    }
-    log->Record(std::move(rec));
-  }
-  if (enforced && token->cancelled()) {
-    Status status = token->status();
-    RecordRejection(status, WatchdogTripped(slot));
-    return status;
-  }
-  return out;
 }
 
 Result<TranslationExplanation> Engine::TranslateExplained(

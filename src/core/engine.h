@@ -172,8 +172,9 @@ class Engine {
 
   /// Parse + evaluate under a tracer: returns the results together with a
   /// per-operator EXPLAIN ANALYZE plan, phase timings and the query's peak
-  /// mapping/byte figures. Honors `options`' join/NS choices (its
-  /// tracer/trace_dict/accountant fields are overridden).
+  /// mapping/byte figures. The same run as Query (see Run) except that it
+  /// never serves a cached result; `options`' tracer/trace_dict fields are
+  /// overridden.
   Result<QueryExplanation> QueryExplained(const std::string& graph_name,
                                           std::string_view query,
                                           EvalOptions options = {});
@@ -235,14 +236,12 @@ class Engine {
 
   // --- Observability ---
 
-  /// Engine-wide default QueryLog. While set, Query / QueryExplained (and
-  /// everything routed through them: Ask, QueryCsv, QueryJson) write one
-  /// QueryLogRecord per query — identity, fragment, phase timings, memory
-  /// figures and the typed outcome — to the sink. Queries whose options
-  /// carry their own EvalOptions::query_log keep it (per-query override
-  /// wins wholesale, mirroring the limits pattern). The log must outlive
-  /// the engine or be detached with SetQueryLog(nullptr) first; null (the
-  /// default) keeps the pre-log code path bit for bit.
+  /// Engine-wide QueryLog. While set, every Query / QueryExplained / Eval
+  /// (and everything routed through them: Ask, QueryCsv, QueryJson) writes
+  /// one QueryLogRecord — identity, fragment, phase timings, memory
+  /// figures and the typed outcome — to the sink. The log must outlive the
+  /// engine or be detached with SetQueryLog(nullptr) first; null (the
+  /// default) skips every per-record copy.
   void SetQueryLog(QueryLog* log) { default_query_log_ = log; }
   QueryLog* query_log() const { return default_query_log_; }
 
@@ -384,18 +383,16 @@ class Engine {
   Profiler* profiler() { return profiler_.get(); }
 
  private:
-  /// One text query's resolved cache decisions, threaded through the
-  /// Query/QueryLogged/QueryExplained paths by the helpers below.
+  /// One text query's resolved cache decisions, threaded through Run.
   struct CacheContext {
     QueryCache* cache = nullptr;  // null ⇒ no cache attached
     bool plan_on = false;
-    bool result_on = false;
+    bool result_on = false;  // cleared when the graph is unknown
     bool bypass = false;    // cache attached, disabled per-query
     bool plan_hit = false;
     bool result_hit = false;
-    bool epoch_known = false;  // graph epoch was read before evaluation
     uint64_t hash = 0;         // StableQueryHash of the canonical text
-    uint64_t graph_epoch = 0;
+    uint64_t graph_epoch = 0;  // read before evaluation when result_on
     std::string canonical;  // CanonicalizeQueryText(query)
 
     /// The query log's cache-outcome token ("" ⇒ no cache attached).
@@ -405,6 +402,16 @@ class Engine {
       if (result_hit) return "result_hit";
       if (plan_hit) return "plan_hit";
       return "miss";
+    }
+
+    /// EXPLAIN's `cache:` line ("" ⇒ no cache attached). EXPLAIN never
+    /// serves a materialized result, so the result side is "live" or "off".
+    std::string ExplainNote() const {
+      if (cache == nullptr) return "";
+      if (bypass) return "bypass";
+      return std::string("plan=") +
+             (!plan_on ? "off" : plan_hit ? "hit" : "miss") +
+             " result=" + (!result_on ? "off" : "live");
     }
   };
 
@@ -416,25 +423,11 @@ class Engine {
   CacheContext ResolveCache(std::string_view query,
                             const EvalOptions& options) const;
 
-  /// Result-cache probe. Reads the graph's epoch *before* evaluation (the
-  /// engine's no-writes-during-queries contract makes that the epoch the
-  /// evaluation sees) and returns the shared cached set on a hit. An
-  /// unknown graph turns result caching off and lets the normal path
-  /// surface NotFound.
-  std::shared_ptr<const MappingSet> CacheResultLookup(
-      CacheContext* cc, const std::string& graph_name,
-      const EvalOptions& options);
-
   /// Parse via the plan cache: a hit returns the shared immutable pattern
   /// (and its precomputed fragment, when `fragment` is non-null) without
   /// touching the parser; a miss parses and installs the new plan.
   Result<PatternPtr> ParseCached(CacheContext* cc, std::string_view query,
                                  std::string* fragment);
-
-  /// Installs a successful evaluation's result under the epoch read by
-  /// CacheResultLookup. No-op unless result caching is on for this query.
-  void CacheStoreResult(const CacheContext& cc, const std::string& graph_name,
-                        const EvalOptions& options, const MappingSet& result);
 
   /// Folds the cache's lifetime stats into the registry: monotone
   /// engine.cache_{hit,miss,eviction,bypass} counters (delta-tracked, so
@@ -442,16 +435,27 @@ class Engine {
   /// MetricsSnapshot.
   void RefreshCacheMetrics();
 
-  /// Applies the engine-wide thread default to per-query options.
-  EvalOptions WithEngineDefaults(EvalOptions options) const;
-
-  /// Query() with a resolved QueryLog sink: same evaluation pipeline, plus
-  /// one record per query (parse failures and rejections included). The
-  /// measured eval_ns is the same value the engine.eval_ns histogram
-  /// observes, so log-side percentiles reproduce MetricsSnapshot exactly.
-  Result<MappingSet> QueryLogged(const std::string& graph_name,
-                                 std::string_view query, EvalOptions options,
-                                 QueryLog* log);
+  /// The one run behind Query, Eval and QueryExplained: `text` is parsed
+  /// through the plan cache unless `pattern` is already given, and the
+  /// run fills one QueryLogRecord that the log, the inflight slot, the
+  /// engine.* metrics and (with `explain` set) the EXPLAIN header are all
+  /// read from. With `explain`, the evaluation runs under a Tracer and the
+  /// plan is built from its spans; the result cache is stored but never
+  /// served. The same rules hold on every outcome:
+  ///   - engine.queries counts every run; engine.parse_ns observes every
+  ///     parse, failed ones included; engine.eval_ns and the fragment
+  ///     histogram every evaluation or result-cache hit; the accountant
+  ///     figures every evaluation.
+  ///   - `slow` is set on every logged record; rows_out is 0 on failure.
+  ///   - The fragment is classified only for the log, a slot or a
+  ///     fragment-scoped alert rule; a plan-cache hit reuses the stored one.
+  ///   - Accountant: the caller's wins, then the slot's, then a local one
+  ///     when the log, metrics or EXPLAIN read the figures.
+  ///   - Only text queries use the cache; a pattern is printed back to
+  ///     text only for the log or the registry.
+  Result<MappingSet> Run(const std::string& graph_name, std::string_view text,
+                         PatternPtr pattern, EvalOptions options,
+                         QueryExplanation* explain);
 
   /// Recomputes the engine.graph_bytes / engine.graph_triples gauges after
   /// a graph mutation.

@@ -18,15 +18,10 @@
 
 namespace rdfql {
 
-class QueryLog;
-
-/// Per-query override for the engine's query cache (plan or result side),
-/// mirroring the limits/query-log pattern: an explicit value wins
-/// wholesale. kDefault follows the attached cache's configuration; kOff
-/// bypasses the cache for this query (counted as a bypass); kOn requests
-/// caching where the attached cache supports it — with no cache attached
-/// (or that side disabled by its sizing), it cannot conjure one.
-enum class CacheMode { kDefault, kOn, kOff };
+/// Per-query use of the engine's query cache (plan or result side).
+/// kDefault follows the attached cache's configuration; kOff bypasses the
+/// cache for this query (counted as a bypass when both sides are off).
+enum class CacheMode { kDefault, kOff };
 
 /// Tunables for the evaluator — the pairs of algorithms back the ablation
 /// benchmarks (E15/E16 in DESIGN.md) — plus the observability opt-ins.
@@ -87,13 +82,6 @@ struct EvalOptions {
   /// returned — its memory counts toward the peak but not the final live
   /// figure, and the escaping set holds no pointer to the accountant.
   ResourceAccountant* accountant = nullptr;
-  /// Consumed by Engine::Query / Engine::QueryExplained (the evaluator
-  /// itself never touches it): overrides the engine's default QueryLog for
-  /// this query, mirroring the limits pattern — per-query value wins
-  /// wholesale. The engine writes one QueryLogRecord per query to the
-  /// resolved sink; null here with no engine default keeps the pre-log
-  /// code path bit for bit.
-  QueryLog* query_log = nullptr;
   /// Consumed by the Engine's text-query entry points (the evaluator
   /// itself never touches them): per-query use of the engine's attached
   /// QueryCache. See CacheMode; the plan cache skips re-parsing, the

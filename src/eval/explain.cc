@@ -14,24 +14,10 @@ size_t Total(const PlanNode& node) {
   return n;
 }
 
-void AppendTime(uint64_t ns, std::string* out) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%lluns",
-                  static_cast<unsigned long long>(ns));
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", static_cast<double>(ns) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(ns) / 1e6);
-  }
-  out->append(buf);
-}
-
 void Render(const PlanNode& node, int depth, std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
   *out += node.label + " [" + std::to_string(node.cardinality) + "]";
-  *out += " (t=";
-  AppendTime(node.wall_ns, out);
+  *out += " (t=" + DurationString(node.wall_ns);
   for (const auto& [name, value] : node.counters) {
     if (name == "mappings_out" || value == 0) continue;
     *out += " " + name + "=" + std::to_string(value);
@@ -41,6 +27,19 @@ void Render(const PlanNode& node, int depth, std::string* out) {
 }
 
 }  // namespace
+
+std::string DurationString(uint64_t ns) {
+  char buf[32];
+  if (ns < 10'000) {
+    std::snprintf(buf, sizeof(buf), "%lluns",
+                  static_cast<unsigned long long>(ns));
+  } else if (ns < 10'000'000) {
+    std::snprintf(buf, sizeof(buf), "%.1fus", static_cast<double>(ns) / 1e3);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(ns) / 1e6);
+  }
+  return buf;
+}
 
 uint64_t PlanNode::GetCounter(std::string_view name) const {
   for (const auto& [n, v] : counters) {

@@ -57,8 +57,12 @@ Explanation ExplainEval(const Graph& graph, const PatternPtr& pattern,
                         const Dictionary& dict, EvalOptions options = {});
 
 /// Converts a recorded span (tree) into a PlanNode tree; exposed for
-/// callers that run their own tracer (Engine::QueryExplained).
+/// callers that run their own tracer (the engine's EXPLAIN run).
 std::unique_ptr<PlanNode> PlanFromSpan(const TraceSpan& span);
+
+/// A duration as "850ns", "12.3us" or "4.5ms" — the one formatter behind
+/// the plan tree's `t=` figures and the engine's EXPLAIN header.
+std::string DurationString(uint64_t ns);
 
 }  // namespace rdfql
 

@@ -1,19 +1,12 @@
 #include "obs/pipeline.h"
 
-#include <chrono>
 #include <cstdio>
 
 #include "obs/metrics.h"
+#include "util/clock.h"
 
 namespace rdfql {
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::string FormatNs(uint64_t ns) {
   char buf[32];
@@ -141,7 +134,7 @@ ScopedStage::ScopedStage(PipelineReport* report, std::string name,
   if (report_ == nullptr) return;
   stage_.name = std::move(name);
   stage_.in = in;
-  start_ns_ = NowNs();
+  start_ns_ = SteadyNowNs();
   if (Tracer* tracer = report_->tracer()) {
     // The span nests naturally: an instrumented transform that calls
     // another instrumented transform opens the inner span inside this one.
@@ -151,7 +144,7 @@ ScopedStage::ScopedStage(PipelineReport* report, std::string name,
 
 ScopedStage::~ScopedStage() {
   if (report_ == nullptr) return;
-  stage_.wall_ns = NowNs() - start_ns_;
+  stage_.wall_ns = SteadyNowNs() - start_ns_;
   if (span_ != nullptr) {
     span_->AddCounter("nodes_in", stage_.in.nodes);
     span_->AddCounter("nodes_out", stage_.out.nodes);

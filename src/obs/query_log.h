@@ -20,8 +20,8 @@ namespace rdfql {
 /// what a query did after the fact — identity (stable hash + correlation
 /// id), the paper-fragment classification the complexity theorems speak
 /// about, phase wall times, result and memory figures, and the typed
-/// outcome. Records are written by Engine::Query / Engine::QueryExplained
-/// when a QueryLog is attached, one record per query.
+/// outcome. Records are filled by the engine's one run path (Query,
+/// QueryExplained, Eval) when a QueryLog is attached, one per query.
 struct QueryLogRecord {
   /// Monotone per-log id; also attached to the query's EXPLAIN plan as the
   /// `correlation_id` counter, so a log record and a trace can be joined.

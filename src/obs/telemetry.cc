@@ -3,6 +3,7 @@
 #include "obs/json_util.h"
 #include "obs/openmetrics.h"
 #include "obs/profiler.h"
+#include "util/clock.h"
 
 #include <cctype>
 #include <chrono>
@@ -14,20 +15,6 @@
 
 namespace rdfql {
 namespace {
-
-uint64_t UnixNowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 uint64_t SaturatingSub(uint64_t a, uint64_t b) { return a > b ? a - b : 0; }
 

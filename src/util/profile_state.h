@@ -188,9 +188,6 @@ struct WaitStats {
   void AddTo(Totals* totals) const;
 };
 
-/// Monotonic nanoseconds — the single clock all profiling timestamps use.
-uint64_t ProfileClockNs();
-
 }  // namespace rdfql
 
 #endif  // RDFQL_UTIL_PROFILE_STATE_H_

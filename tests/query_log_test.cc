@@ -318,20 +318,6 @@ TEST(EngineQueryLogTest, DetachedLogReceivesNothing) {
   EXPECT_EQ(log.records_seen(), 0u);
 }
 
-TEST(EngineQueryLogTest, PerQueryOverrideWinsOverEngineDefault) {
-  Engine engine;
-  ASSERT_TRUE(engine.LoadGraphText("g", "a p b .").ok());
-  QueryLog default_log;
-  QueryLog override_log;
-  engine.SetQueryLog(&default_log);
-  EvalOptions options;
-  options.query_log = &override_log;
-  ASSERT_TRUE(engine.Query("g", "(?x p ?y)", options).ok());
-  EXPECT_EQ(default_log.records_seen(), 0u);
-  EXPECT_EQ(override_log.records_seen(), 1u);
-  engine.SetQueryLog(nullptr);
-}
-
 TEST(EngineQueryLogTest, TypedOutcomesAreRecorded) {
   Engine engine;
   ASSERT_TRUE(engine.LoadGraphText("g", EdgeGraph(200)).ok());
@@ -430,6 +416,100 @@ TEST(EngineQueryLogTest, QueryExplainedLogsAndStampsCorrelationId) {
   }
   EXPECT_TRUE(found);
   engine.SetQueryLog(nullptr);
+}
+
+// --- One run path: Query and QueryExplained agree on every outcome ---
+
+TEST(EngineQueryLogTest, QueryAndExplainRecordEveryOutcomeAlike) {
+  struct Row {
+    const char* outcome;
+    const char* graph;
+    const char* query;
+    uint64_t max_live_mappings;
+    // Run the query once before the measured call, so the result cache
+    // holds its answer. EXPLAIN always evaluates live, so on this row it
+    // logs a plan hit and parses where Query serves the stored result.
+    bool warm;
+  };
+  const Row rows[] = {
+      {"ok", "g", "(?a p ?b)", 0, false},
+      {"parse_error", "g", "(?a p", 0, false},
+      {"not_found", "nosuch", "(?a p ?b)", 0, false},
+      {"resource_exhausted", "g", kBlowupQuery, 1000, false},
+      {"ok", "g", "(?a p ?b)", 0, true},  // result_hit
+  };
+  struct Counts {
+    uint64_t queries = 0;
+    uint64_t parses = 0;
+    uint64_t evals = 0;
+  };
+  struct Observed {
+    QueryLogRecord rec;
+    Counts delta;  // engine.* counts advanced by the measured call
+  };
+  auto counts = [](Engine* engine) {
+    RegistrySnapshot snap = engine->MetricsSnapshot();
+    auto hist = [&snap](const char* name) -> uint64_t {
+      auto it = snap.histograms.find(name);
+      return it == snap.histograms.end() ? 0 : it->second.count;
+    };
+    return Counts{snap.counters["engine.queries"], hist("engine.parse_ns"),
+                  hist("engine.eval_ns")};
+  };
+  auto observe = [&counts](const Row& row, bool explained) {
+    Engine engine;
+    EXPECT_TRUE(engine.LoadGraphText("g", EdgeGraph(200)).ok());
+    QueryCache cache{QueryCacheOptions{}};
+    engine.SetQueryCache(&cache);
+    engine.EnableMetrics();
+    engine.EnableLiveMonitoring();
+    if (row.warm) {
+      EXPECT_TRUE(engine.Query(row.graph, row.query).ok());
+    }
+    Counts before = counts(&engine);
+    QueryLog log;
+    engine.SetQueryLog(&log);
+    EvalOptions options;
+    options.limits.max_live_mappings = row.max_live_mappings;
+    bool ok = explained
+                  ? engine.QueryExplained(row.graph, row.query, options).ok()
+                  : engine.Query(row.graph, row.query, options).ok();
+    engine.SetQueryLog(nullptr);
+    Counts after = counts(&engine);
+    Observed o;
+    o.delta = {after.queries - before.queries, after.parses - before.parses,
+               after.evals - before.evals};
+    EXPECT_EQ(ok, std::string(row.outcome) == "ok");
+    std::vector<QueryLogRecord> snap = log.Snapshot();
+    EXPECT_EQ(snap.size(), 1u);
+    if (!snap.empty()) o.rec = snap[0];
+    engine.SetQueryCache(nullptr);
+    return o;
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.outcome) + (row.warm ? " (warm)" : ""));
+    Observed q = observe(row, /*explained=*/false);
+    Observed e = observe(row, /*explained=*/true);
+    EXPECT_EQ(q.rec.outcome, row.outcome);
+    EXPECT_EQ(e.rec.outcome, q.rec.outcome);
+    EXPECT_EQ(e.rec.fragment, q.rec.fragment);
+    EXPECT_EQ(e.rec.threads, q.rec.threads);
+    EXPECT_EQ(e.rec.rows_out, q.rec.rows_out);
+    EXPECT_EQ(e.rec.error.empty(), q.rec.error.empty());
+    EXPECT_EQ(e.delta.queries, 1u);
+    EXPECT_EQ(q.delta.queries, 1u);
+    EXPECT_EQ(e.delta.evals, q.delta.evals);
+    if (row.warm) {
+      EXPECT_EQ(q.rec.cache, "result_hit");
+      EXPECT_EQ(e.rec.cache, "plan_hit");
+      EXPECT_EQ(q.delta.parses, 0u);
+      EXPECT_EQ(e.delta.parses, 1u);
+    } else {
+      EXPECT_EQ(e.rec.cache, q.rec.cache);
+      EXPECT_EQ(e.delta.parses, q.delta.parses);
+      EXPECT_EQ(q.delta.parses, 1u);
+    }
+  }
 }
 
 // --- Concurrency: bytes from concurrent writers never interleave ---
