@@ -4,12 +4,12 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <map>
 #include <memory>
 #include <string_view>
 
+#include "obs/json_util.h"
 #include "obs/metrics.h"
 
 // Stamped into every emitted BENCH_*.json; the build provides both via
@@ -95,199 +95,6 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 
  private:
   std::vector<BenchCase>* sink_;
-};
-
-// --- A minimal JSON reader for the validator (objects, arrays, strings,
-// numbers, bools, null — no surrogate handling; our emitters stay ASCII).
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string str;
-  std::vector<JsonValue> arr;
-  std::vector<std::pair<std::string, JsonValue>> obj;
-
-  const JsonValue* Find(std::string_view key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  bool Parse(JsonValue* out, std::string* error) {
-    bool ok = ParseValue(out) && (SkipWs(), pos_ == text_.size());
-    if (!ok && error != nullptr) {
-      *error = "JSON parse error near offset " + std::to_string(pos_);
-    }
-    return ok;
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipWs();
-    if (pos_ >= text_.size()) return false;
-    char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"':
-        out->type = JsonValue::Type::kString;
-        return ParseString(&out->str);
-      case 't':
-        out->type = JsonValue::Type::kBool;
-        out->boolean = true;
-        return Literal("true");
-      case 'f':
-        out->type = JsonValue::Type::kBool;
-        out->boolean = false;
-        return Literal("false");
-      case 'n':
-        out->type = JsonValue::Type::kNull;
-        return Literal("null");
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  bool ParseObject(JsonValue* out) {
-    out->type = JsonValue::Type::kObject;
-    ++pos_;  // '{'
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (!ParseString(&key)) return false;
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->obj.emplace_back(std::move(key), std::move(value));
-      SkipWs();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool ParseArray(JsonValue* out) {
-    out->type = JsonValue::Type::kArray;
-    ++pos_;  // '['
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->arr.push_back(std::move(value));
-      SkipWs();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-          case '\\':
-          case '/':
-            out->push_back(esc);
-            break;
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case 'r':
-            out->push_back('\r');
-            break;
-          case 'b':
-          case 'f':
-            out->push_back(' ');
-            break;
-          case 'u':
-            if (pos_ + 4 > text_.size()) return false;
-            pos_ += 4;  // keep validation simple: skip the code point
-            out->push_back('?');
-            break;
-          default:
-            return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return false;
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            std::strchr("+-.eE", text_[pos_]) != nullptr)) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out->type = JsonValue::Type::kNumber;
-    out->number = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
-                              nullptr);
-    return true;
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
 };
 
 bool Fail(std::string* error, const std::string& message) {
@@ -393,124 +200,112 @@ std::string RenderBenchJson(const std::string& bench_name,
 
 bool ParseBenchJson(const std::string& json, ParsedBenchDoc* out,
                     std::string* error) {
-  out->schema.clear();
-  out->bench.clear();
-  out->cases.clear();
-  JsonValue root;
-  JsonParser parser(json);
-  if (!parser.Parse(&root, error)) return false;
-  if (root.type != JsonValue::Type::kObject) {
-    return Fail(error, "top level is not an object");
-  }
-  const JsonValue* schema = root.Find("schema");
-  if (schema == nullptr || schema->type != JsonValue::Type::kString ||
-      (schema->str != kBenchJsonSchema &&
-       schema->str != kBenchJsonSchemaV2)) {
+  *out = ParsedBenchDoc();
+  // Fields are read in RenderBenchJson's order; a syntax error anywhere
+  // reports its byte offset.
+  jsonutil::JsonParser p(json);
+  auto syntax_error = [&p, error] {
+    return p.Fail(error, "JSON parse error");
+  };
+  if (!p.Eat('{')) return Fail(error, "top level is not an object");
+  if (!p.Key("schema") || !p.ParseString(&out->schema) ||
+      (out->schema != kBenchJsonSchema &&
+       out->schema != kBenchJsonSchemaV2)) {
     return Fail(error, std::string("missing or wrong \"schema\" (want ") +
                            kBenchJsonSchema + " or " + kBenchJsonSchemaV2 +
                            ")");
   }
-  out->schema = schema->str;
-  const JsonValue* bench = root.Find("bench");
-  if (bench == nullptr || bench->type != JsonValue::Type::kString ||
-      bench->str.empty()) {
+  if (!p.Eat(',') || !p.Key("bench") || !p.ParseString(&out->bench) ||
+      out->bench.empty()) {
     return Fail(error, "missing \"bench\" name");
   }
-  out->bench = bench->str;
   // The provenance stamp is mandatory from v3 on; v2 baselines predate it.
+  bool comma = p.Eat(',');
   for (const auto& [key, field] :
        {std::pair<const char*, std::string*>{"git_sha", &out->git_sha},
         {"build_type", &out->build_type},
         {"timestamp", &out->timestamp}}) {
-    const JsonValue* v = root.Find(key);
-    if (v != nullptr && v->type == JsonValue::Type::kString) {
-      *field = v->str;
+    if (comma && p.Key(key) && p.ParseString(field)) {
+      comma = p.Eat(',');
     } else if (out->schema == kBenchJsonSchema) {
       return Fail(error, std::string("missing \"") + key + "\" stamp");
     }
   }
-  const JsonValue* cases = root.Find("cases");
-  if (cases == nullptr || cases->type != JsonValue::Type::kArray) {
+  if (!comma || !p.Key("cases") || !p.Eat('[')) {
     return Fail(error, "missing \"cases\" array");
   }
-  if (cases->arr.empty()) return Fail(error, "\"cases\" is empty");
+  if (p.Peek(']')) return Fail(error, "\"cases\" is empty");
 
-  for (size_t i = 0; i < cases->arr.size(); ++i) {
-    const JsonValue& c = cases->arr[i];
-    std::string at = "case " + std::to_string(i) + ": ";
-    if (c.type != JsonValue::Type::kObject) {
-      return Fail(error, at + "not an object");
-    }
-    BenchCase parsed;
-    const JsonValue* name = c.Find("name");
-    if (name == nullptr || name->type != JsonValue::Type::kString ||
-        name->str.empty()) {
+  // `counters` and `metrics` share one shape: an object of numbers.
+  auto parse_numbers = [&](const std::string& what,
+                           std::vector<std::pair<std::string, double>>* into) {
+    if (p.Eat('}')) return true;
+    do {
+      std::string name;
+      double value = 0;
+      if (!p.NextKey(&name)) return syntax_error();
+      if (!p.ParseDouble(&value)) {
+        return Fail(error, what + " \"" + name + "\" not numeric");
+      }
+      into->emplace_back(std::move(name), value);
+    } while (p.Eat(','));
+    return p.Eat('}') || syntax_error();
+  };
+  size_t i = 0;
+  do {
+    std::string at = "case " + std::to_string(i++) + ": ";
+    if (!p.Eat('{')) return Fail(error, at + "not an object");
+    BenchCase c;
+    if (!p.Key("name") || !p.ParseString(&c.name) || c.name.empty()) {
       return Fail(error, at + "missing \"name\"");
     }
-    parsed.name = name->str;
-    at = "case \"" + name->str + "\": ";
-    const JsonValue* family = c.Find("family");
-    if (family == nullptr || family->type != JsonValue::Type::kString ||
-        family->str.empty()) {
+    at = "case \"" + c.name + "\": ";
+    if (!p.Eat(',') || !p.Key("family") || !p.ParseString(&c.family) ||
+        c.family.empty()) {
       return Fail(error, at + "missing \"family\"");
     }
-    parsed.family = family->str;
-    const JsonValue* args = c.Find("args");
-    if (args == nullptr || args->type != JsonValue::Type::kArray) {
+    if (!p.Eat(',') || !p.Key("args") || !p.Eat('[')) {
       return Fail(error, at + "missing \"args\"");
     }
-    for (const JsonValue& a : args->arr) {
-      if (a.type != JsonValue::Type::kNumber) {
-        return Fail(error, at + "non-numeric arg");
-      }
-      parsed.args.push_back(static_cast<int64_t>(a.number));
+    if (!p.Eat(']')) {
+      do {
+        double arg = 0;
+        if (!p.ParseDouble(&arg)) return Fail(error, at + "non-numeric arg");
+        c.args.push_back(static_cast<int64_t>(arg));
+      } while (p.Eat(','));
+      if (!p.Eat(']')) return syntax_error();
     }
-    const JsonValue* iterations = c.Find("iterations");
-    if (iterations == nullptr ||
-        iterations->type != JsonValue::Type::kNumber ||
-        iterations->number <= 0) {
+    double iterations = 0;
+    if (!p.Eat(',') || !p.Key("iterations") || !p.ParseDouble(&iterations) ||
+        iterations <= 0) {
       return Fail(error, at + "missing or non-positive \"iterations\"");
     }
-    parsed.iterations = static_cast<int64_t>(iterations->number);
-    const JsonValue* real_ns = c.Find("real_ns");
-    if (real_ns == nullptr || real_ns->type != JsonValue::Type::kNumber ||
-        real_ns->number < 0) {
+    c.iterations = static_cast<int64_t>(iterations);
+    if (!p.Eat(',') || !p.Key("real_ns") || !p.ParseDouble(&c.real_ns) ||
+        c.real_ns < 0) {
       return Fail(error, at + "missing or negative \"real_ns\"");
     }
-    parsed.real_ns = real_ns->number;
-    const JsonValue* cpu_ns = c.Find("cpu_ns");
-    if (cpu_ns == nullptr || cpu_ns->type != JsonValue::Type::kNumber) {
+    if (!p.Eat(',') || !p.Key("cpu_ns") || !p.ParseDouble(&c.cpu_ns)) {
       return Fail(error, at + "missing \"cpu_ns\"");
     }
-    parsed.cpu_ns = cpu_ns->number;
-    const JsonValue* threads = c.Find("threads");
-    if (threads == nullptr || threads->type != JsonValue::Type::kNumber ||
-        threads->number < 1) {
+    double threads = 0;
+    if (!p.Eat(',') || !p.Key("threads") || !p.ParseDouble(&threads) ||
+        threads < 1) {
       return Fail(error, at + "missing or non-positive \"threads\"");
     }
-    parsed.threads = static_cast<int>(threads->number);
-    const JsonValue* counters = c.Find("counters");
-    if (counters == nullptr || counters->type != JsonValue::Type::kObject) {
+    c.threads = static_cast<int>(threads);
+    if (!p.Eat(',') || !p.Key("counters") || !p.Eat('{')) {
       return Fail(error, at + "missing \"counters\" object");
     }
-    for (const auto& [cname, cvalue] : counters->obj) {
-      if (cvalue.type != JsonValue::Type::kNumber) {
-        return Fail(error, at + "counter \"" + cname + "\" not numeric");
-      }
-      parsed.counters.emplace_back(cname, cvalue.number);
-    }
-    const JsonValue* metrics = c.Find("metrics");
-    if (metrics == nullptr || metrics->type != JsonValue::Type::kObject) {
+    if (!parse_numbers(at + "counter", &c.counters)) return false;
+    if (!p.Eat(',') || !p.Key("metrics") || !p.Eat('{')) {
       return Fail(error, at + "missing \"metrics\" object");
     }
-    for (const auto& [mname, mvalue] : metrics->obj) {
-      if (mvalue.type != JsonValue::Type::kNumber) {
-        return Fail(error, at + "metric \"" + mname + "\" not numeric");
-      }
-      parsed.metrics.emplace_back(mname, mvalue.number);
-    }
-    out->cases.push_back(std::move(parsed));
-  }
+    if (!parse_numbers(at + "metric", &c.metrics)) return false;
+    if (!p.Eat('}')) return syntax_error();
+    out->cases.push_back(std::move(c));
+  } while (p.Eat(','));
+  if (!p.Eat(']') || !p.Eat('}') || !p.AtEnd()) return syntax_error();
   return true;
 }
 

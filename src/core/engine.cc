@@ -646,13 +646,12 @@ Status Engine::StartTelemetry(const TelemetryOptions& options) {
     return Status::InvalidArgument("telemetry sampler already running");
   }
   EnableLiveMonitoring(true);
-  TelemetryOptions effective = options;
-  // Installed alert rules ride every sampler: the tick records the history
-  // sample and evaluates the rules against it.
-  if (history_ != nullptr) effective.history = history_.get();
-  if (alerts_ != nullptr) effective.alerts = alerts_.get();
-  telemetry_ =
-      std::make_unique<TelemetrySampler>(&metrics_, &inflight_, effective);
+  // Every tick records into the history ring — the telemetry windows are
+  // its newest samples — and evaluates the installed alert rules, if any,
+  // against it.
+  if (history_ == nullptr) history_ = std::make_unique<MetricsHistory>();
+  telemetry_ = std::make_unique<TelemetrySampler>(
+      &metrics_, &inflight_, history_.get(), alerts_.get(), options);
   return Status::Ok();
 }
 

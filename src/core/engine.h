@@ -305,6 +305,9 @@ class Engine {
   /// Starts the background telemetry sampler (and the watchdog, when
   /// `options.watchdog` enforces anything) over this engine's metrics and
   /// registry. Implies EnableLiveMonitoring(). Fails if already running.
+  /// Each tick records into the history ring (created with default
+  /// HistoryOptions unless SetAlertRules installed one), whose newest
+  /// samples are the telemetry windows.
   /// `options.interval_ms == 0` creates the sampler without a thread —
   /// drive it manually with telemetry()->TickNow() (tests, single-shot
   /// tools).
@@ -344,7 +347,8 @@ class Engine {
     return alerts_ != nullptr ? alerts_->Snapshot() : rdfql::AlertSnapshot{};
   }
 
-  /// The installed alert engine / history ring, or null.
+  /// The installed alert engine, or null. The history ring, or null until
+  /// SetAlertRules or StartTelemetry creates it.
   AlertEngine* alerts() { return alerts_.get(); }
   MetricsHistory* history() { return history_.get(); }
 
@@ -491,9 +495,10 @@ class Engine {
   bool live_monitoring_ = false;
   InflightRegistry inflight_;
   std::unique_ptr<TelemetrySampler> telemetry_;
-  // History ring + alert engine (SetAlertRules); the sampler borrows raw
-  // pointers to both, so they must outlive any running telemetry — which
-  // SetAlertRules/ClearAlertRules enforce by refusing to run mid-sampling.
+  // History ring (SetAlertRules or StartTelemetry) + alert engine
+  // (SetAlertRules); the sampler borrows raw pointers to both, so they must
+  // outlive any running telemetry — which SetAlertRules/ClearAlertRules
+  // enforce by refusing to run mid-sampling.
   std::unique_ptr<MetricsHistory> history_;
   std::unique_ptr<AlertEngine> alerts_;
   // For the engine.uptime_seconds gauge.

@@ -1,6 +1,6 @@
 #include "obs/history.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <utility>
 
 #include "obs/json_util.h"
@@ -13,6 +13,7 @@ using jsonutil::AppendBool;
 using jsonutil::AppendDouble;
 using jsonutil::AppendUint;
 using jsonutil::JsonParser;
+using jsonutil::WriteFileAtomic;
 
 uint64_t SaturatingSub(uint64_t a, uint64_t b) { return a > b ? a - b : 0; }
 
@@ -53,22 +54,6 @@ void MergeBuckets(const std::vector<std::pair<uint64_t, uint64_t>>& from,
     }
   }
   *into = std::move(merged);
-}
-
-bool WriteFileAtomic(const std::string& path, const std::string& text) {
-  // Same discipline as the telemetry sampler's snapshot writer: a reader
-  // following the path sees either the previous complete file or this one.
-  std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  bool ok = written == text.size();
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 }  // namespace
@@ -348,6 +333,13 @@ std::vector<HistorySample> MetricsHistory::Samples() const {
   out.reserve(coarse_.size() + fine_.size() + 1);
   VisitLocked([&](const HistorySample& s) { out.push_back(s); });
   return out;
+}
+
+std::vector<HistorySample> MetricsHistory::NewestFine(size_t n) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  n = std::min(n, fine_.size());
+  return std::vector<HistorySample>(fine_.end() - static_cast<ptrdiff_t>(n),
+                                    fine_.end());
 }
 
 size_t MetricsHistory::fine_size() const {

@@ -12,7 +12,8 @@
 // sample's end. Deltas make window queries trivial (rate over 5 m = sum of
 // deltas in the window / seconds) and survive a MetricsRegistry::Reset()
 // mid-stream: a counter that goes backwards clamps to a zero delta instead
-// of underflowing, exactly like the TelemetrySampler's own window diffing.
+// of underflowing. The telemetry sampler's windows are this ring's newest
+// fine samples (NewestFine).
 //
 // Retention is two-tier. A fine ring holds every sample (one per telemetry
 // tick, typically 1 s) for `fine_retention_ms`; samples aging out of the
@@ -24,9 +25,9 @@
 // last" style questions. The alert engine (obs/alerts.h) evaluates its
 // burn-rate windows against exactly these queries.
 //
-// Persistence is JSONL, one sample per line, written atomically with the
-// telemetry sampler's temp+rename discipline so a reader never sees a torn
-// file.
+// Persistence is JSONL, one sample per line, written atomically through
+// jsonutil::WriteFileAtomic (temp file + rename) so a reader never sees a
+// torn file.
 
 #include <cstdint>
 #include <deque>
@@ -120,6 +121,10 @@ class MetricsHistory {
 
   /// Copy of the retained samples, oldest first (coarse, then fine).
   std::vector<HistorySample> Samples() const;
+
+  /// Copy of the newest min(n, fine_size()) fine samples, oldest first —
+  /// the telemetry sampler's sliding windows.
+  std::vector<HistorySample> NewestFine(size_t n) const;
 
   size_t fine_size() const;
   size_t coarse_size() const;

@@ -1,13 +1,17 @@
 #ifndef RDFQL_OBS_JSON_UTIL_H_
 #define RDFQL_OBS_JSON_UTIL_H_
 
-// Internal hand-rolled JSON building blocks shared by the obs serializers
-// (telemetry snapshots, history samples, alert rules/logs). The repo keeps
-// its no-dependency discipline: emitters append exact field sequences, and
-// parsers are strict cursors that accept what the emitters write — plus, in
-// the one user-authored format (alert rules), arbitrary key order. Born as
-// file-local helpers in telemetry.cc; factored out once three .cc files
-// needed the same primitives.
+// Internal hand-rolled JSON building blocks — the one JSON reader and the
+// one atomic file writer of the repo's on-disk formats. The repo keeps its
+// no-dependency discipline: emitters append exact field sequences, and
+// JsonParser is a strict cursor that accepts what the emitters write —
+// plus, where the producer does not control key order (alert rule files,
+// query-log lines, bench `counters`/`metrics` objects), NextKey.
+//
+// Users: obs/telemetry (snapshots), obs/history (JSONL samples),
+// obs/alerts (rule files, alert log), obs/query_log (JSONL records),
+// bench/bench_reporting (BENCH_*.json reader) and tools/rdfql_stats (JSON
+// alert report).
 //
 // Emit helpers share the `bool* first` comma protocol: the caller seeds
 // `first = true` after an opening brace and every Append* inserts the
@@ -15,6 +19,7 @@
 
 #include <cctype>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -161,7 +166,10 @@ class JsonParser {
     uint64_t v = 0;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      v = v * 10 + static_cast<uint64_t>(text_[pos_++] - '0');
+      uint64_t digit = static_cast<uint64_t>(text_[pos_++] - '0');
+      // Reject instead of wrapping: 2^64 must not read back as 0.
+      if (v > (UINT64_MAX - digit) / 10) return false;
+      v = v * 10 + digit;
     }
     *out = v;
     return true;
@@ -173,7 +181,9 @@ class JsonParser {
     if (negative) ++pos_;
     uint64_t v = 0;
     if (!ParseUint(&v)) return false;
-    *out = negative ? -static_cast<int64_t>(v) : static_cast<int64_t>(v);
+    uint64_t limit = negative ? uint64_t{1} << 63 : (uint64_t{1} << 63) - 1;
+    if (v > limit) return false;
+    *out = static_cast<int64_t>(negative ? 0 - v : v);
     return true;
   }
 
@@ -288,6 +298,24 @@ class JsonParser {
   std::string_view text_;
   size_t pos_ = 0;
 };
+
+/// Writes `text` to `path` through a temp file and a rename, so a reader
+/// following the path sees either the previous complete file or this one —
+/// never a torn write. Any short write or failed fclose removes the temp
+/// file and leaves `path` untouched. Returns false on I/O failure.
+inline bool WriteFileAtomic(const std::string& path, const std::string& text) {
+  std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) return false;
+  size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  bool ok = written == text.size();
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return std::rename(tmp.c_str(), path.c_str()) == 0;
+}
 
 }  // namespace jsonutil
 }  // namespace rdfql

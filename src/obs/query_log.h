@@ -108,8 +108,10 @@ uint64_t StableQueryHash(std::string_view query);
 /// version tag and one key per QueryLogRecord field.
 std::string QueryLogRecordToJson(const QueryLogRecord& record);
 
-/// Parses one JSONL line back into a record. Unknown keys are ignored
-/// (forward compatibility); a malformed line or a missing version tag
+/// Parses one JSONL line back into a record, keys in any order. Unknown
+/// keys whose value is a string, an unsigned integer or a bool are skipped
+/// (forward compatibility); a malformed line, a number past uint64 or a
+/// missing version tag
 /// fails with a message in *error. Shared by tools/rdfql_stats and tests.
 bool ParseQueryLogLine(std::string_view line, QueryLogRecord* out,
                        std::string* error);

@@ -5,18 +5,14 @@
 #include "obs/profiler.h"
 #include "util/clock.h"
 
-#include <cctype>
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 namespace rdfql {
 namespace {
-
-uint64_t SaturatingSub(uint64_t a, uint64_t b) { return a > b ? a - b : 0; }
 
 using jsonutil::AppendBool;
 using jsonutil::AppendBuckets;
@@ -101,6 +97,36 @@ bool ParseWindow(SnapshotParser* p, TelemetryWindow* w, std::string* error) {
     return p->Fail(error, "malformed telemetry window");
   }
   return true;
+}
+
+/// `name` in a counter map (cumulative values or deltas); 0 when absent.
+uint64_t CounterValue(const std::map<std::string, uint64_t>& counters,
+                      const char* name) {
+  auto it = counters.find(name);
+  return it != counters.end() ? it->second : 0;
+}
+
+uint64_t Rejections(const std::map<std::string, uint64_t>& counters) {
+  return CounterValue(counters, "engine.queries_rejected") +
+         CounterValue(counters, "engine.queries_deadline_exceeded") +
+         CounterValue(counters, "engine.queries_cancelled");
+}
+
+/// The telemetry view of one fine history sample.
+TelemetryWindow WindowFromSample(const HistorySample& s) {
+  TelemetryWindow w;
+  w.end_unix_ms = s.unix_ms;
+  w.seconds = s.seconds;
+  w.queries = CounterValue(s.counters, "engine.queries");
+  w.rejections = Rejections(s.counters);
+  w.watchdog_cancels =
+      CounterValue(s.counters, "engine.queries_watchdog_cancelled");
+  if (auto it = s.histograms.find("engine.eval_ns");
+      it != s.histograms.end()) {
+    w.eval_buckets = it->second;
+    for (const auto& [bound, n] : it->second) w.eval_count += n;
+  }
+  return w;
 }
 
 }  // namespace
@@ -317,9 +343,13 @@ bool ParseTelemetrySnapshot(std::string_view json, TelemetrySnapshot* out,
 
 TelemetrySampler::TelemetrySampler(MetricsRegistry* metrics,
                                    InflightRegistry* inflight,
+                                   MetricsHistory* history, AlertEngine* alerts,
                                    TelemetryOptions options)
-    : metrics_(metrics), inflight_(inflight), options_(std::move(options)) {
-  prev_steady_ns_ = SteadyNowNs();
+    : metrics_(metrics),
+      inflight_(inflight),
+      history_(history),
+      alerts_(alerts),
+      options_(std::move(options)) {
   if (options_.window_count == 0) options_.window_count = 1;
   if (options_.interval_ms > 0) {
     thread_ = std::thread([this] { Loop(); });
@@ -340,7 +370,7 @@ void TelemetrySampler::Stop() {
   TickNow();
   // And a final history flush, so short-lived runs persist their ring even
   // if they never reached the periodic persist threshold.
-  if (options_.history != nullptr) options_.history->WriteFile();
+  history_->WriteFile();
 }
 
 WatchdogPolicy TelemetrySampler::EffectiveWatchdog() const {
@@ -409,7 +439,6 @@ void TelemetrySampler::Tick() {
     }
   }
 
-  uint64_t now_steady = SteadyNowNs();
   RegistrySnapshot m = metrics_ != nullptr ? metrics_->Snapshot()
                                            : RegistrySnapshot();
   InflightSnapshot inf =
@@ -419,83 +448,44 @@ void TelemetrySampler::Tick() {
   // History + alerts ride the same tick: the ring records the registry
   // delta, then the rules are evaluated against the updated ring, and any
   // watchdog escalations from firing rules take effect at the next sweep.
-  if (options_.history != nullptr) {
-    options_.history->Record(m, now_unix_ms);
-    if (options_.alerts != nullptr) {
-      options_.alerts->Evaluate(*options_.history, now_unix_ms);
-      std::vector<std::pair<std::string, uint64_t>> escalations =
-          options_.alerts->WatchdogEscalations();
-      std::lock_guard<std::mutex> lock(state_mu_);
-      escalations_.clear();
-      for (const auto& [fragment, wall_ms] : escalations) {
-        WatchdogLimits limits = options_.watchdog.For(fragment);
-        if (limits.max_wall_ms == 0 || wall_ms < limits.max_wall_ms) {
-          limits.max_wall_ms = wall_ms;
-        }
-        escalations_[fragment] = limits;
+  history_->Record(m, now_unix_ms);
+  if (alerts_ != nullptr) {
+    alerts_->Evaluate(*history_, now_unix_ms);
+    std::vector<std::pair<std::string, uint64_t>> escalations =
+        alerts_->WatchdogEscalations();
+    std::lock_guard<std::mutex> lock(state_mu_);
+    escalations_.clear();
+    for (const auto& [fragment, wall_ms] : escalations) {
+      WatchdogLimits limits = options_.watchdog.For(fragment);
+      if (limits.max_wall_ms == 0 || wall_ms < limits.max_wall_ms) {
+        limits.max_wall_ms = wall_ms;
       }
+      escalations_[fragment] = limits;
     }
-  }
-
-  auto counter = [&m](const char* name) -> uint64_t {
-    auto it = m.counters.find(name);
-    return it != m.counters.end() ? it->second : 0;
-  };
-  uint64_t queries = counter("engine.queries");
-  uint64_t rejections = counter("engine.queries_rejected") +
-                        counter("engine.queries_deadline_exceeded") +
-                        counter("engine.queries_cancelled");
-  uint64_t watchdog = inf.watchdog_cancelled_total;
-  uint64_t eval_count = 0;
-  std::map<uint64_t, uint64_t> eval_buckets;
-  if (auto it = m.histograms.find("engine.eval_ns");
-      it != m.histograms.end()) {
-    eval_count = it->second.count;
-    for (const auto& [bound, n] : it->second.buckets) eval_buckets[bound] = n;
   }
 
   TelemetrySnapshot published;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    TelemetryWindow w;
-    w.end_unix_ms = now_unix_ms;
-    w.seconds =
-        static_cast<double>(SaturatingSub(now_steady, prev_steady_ns_)) / 1e9;
-    w.queries = SaturatingSub(queries, prev_queries_);
-    w.rejections = SaturatingSub(rejections, prev_rejections_);
-    w.watchdog_cancels = SaturatingSub(watchdog, prev_watchdog_);
-    w.eval_count = SaturatingSub(eval_count, prev_eval_count_);
-    for (const auto& [bound, n] : eval_buckets) {
-      auto it = prev_eval_buckets_.find(bound);
-      uint64_t delta = SaturatingSub(n, it != prev_eval_buckets_.end()
-                                            ? it->second
-                                            : 0);
-      if (delta > 0) w.eval_buckets.emplace_back(bound, delta);
-    }
-    prev_steady_ns_ = now_steady;
-    prev_queries_ = queries;
-    prev_rejections_ = rejections;
-    prev_watchdog_ = watchdog;
-    prev_eval_count_ = eval_count;
-    prev_eval_buckets_ = std::move(eval_buckets);
-    have_prev_ = true;
-
-    windows_.push_back(std::move(w));
-    while (windows_.size() > options_.window_count) windows_.pop_front();
-
-    // Aggregate the retained windows into the published rates.
     TelemetrySnapshot snap;
-    snap.unix_ms = windows_.back().end_unix_ms;
+    snap.unix_ms = now_unix_ms;
     snap.interval_ms = options_.interval_ms;
     snap.ticks = ++ticks_;
-    snap.queries_total = queries;
-    snap.rejected_total = rejections;
-    snap.watchdog_cancelled_total = watchdog;
+    snap.queries_total = CounterValue(m.counters, "engine.queries");
+    snap.rejected_total = Rejections(m.counters);
+    snap.watchdog_cancelled_total = inf.watchdog_cancelled_total;
     snap.queries_active = static_cast<int64_t>(inf.queries.size());
+    // The windows are this sampler's newest ticks in the history ring; a
+    // ring shared with an earlier sampler run holds older samples too.
+    for (const HistorySample& sample : history_->NewestFine(
+             std::min<uint64_t>(ticks_, options_.window_count))) {
+      snap.windows.push_back(WindowFromSample(sample));
+    }
+    // Aggregate the windows into the published rates.
     double seconds = 0;
     uint64_t window_queries = 0, window_rejections = 0, window_evals = 0;
     std::map<uint64_t, uint64_t> merged;
-    for (const TelemetryWindow& win : windows_) {
+    for (const TelemetryWindow& win : snap.windows) {
       seconds += win.seconds;
       window_queries += win.queries;
       window_rejections += win.rejections;
@@ -510,16 +500,15 @@ void TelemetrySampler::Tick() {
                                                           merged.end());
     snap.eval_p50_ns = HistogramPercentile(merged_vec, window_evals, 0.50);
     snap.eval_p99_ns = HistogramPercentile(merged_vec, window_evals, 0.99);
-    snap.windows.assign(windows_.begin(), windows_.end());
     snap.inflight = std::move(inf);
     if (Profiler* prof = Profiler::Active()) {
       for (ProfileTagTotal& t : prof->TopTags(8)) {
         snap.hot_tags.emplace_back(std::move(t.tag), t.self);
       }
     }
-    if (options_.alerts != nullptr) {
+    if (alerts_ != nullptr) {
       snap.has_alerts = true;
-      snap.alerts = options_.alerts->Snapshot();
+      snap.alerts = alerts_->Snapshot();
     }
     BuildInfo build = CurrentBuildInfo();
     snap.build_sha = build.sha;
@@ -532,19 +521,8 @@ void TelemetrySampler::Tick() {
 
 void TelemetrySampler::WriteSnapshotFile(const TelemetrySnapshot& snap) {
   if (options_.snapshot_path.empty()) return;
-  std::string tmp = options_.snapshot_path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return;
-  std::string json = snap.ToJson();
-  json.push_back('\n');
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    std::remove(tmp.c_str());
-    return;
-  }
   // Atomic hand-off: readers (rdfql_top) always see a complete snapshot.
-  std::rename(tmp.c_str(), options_.snapshot_path.c_str());
+  jsonutil::WriteFileAtomic(options_.snapshot_path, snap.ToJson() + "\n");
 }
 
 }  // namespace rdfql

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -43,7 +42,8 @@ struct WatchdogPolicy {
 };
 
 /// One sampling window: the delta of the engine's cumulative counters (and
-/// the eval-latency histogram) across one sampler tick.
+/// the eval-latency histogram) across one sampler tick — a view of one fine
+/// MetricsHistory sample.
 struct TelemetryWindow {
   uint64_t end_unix_ms = 0;
   double seconds = 0;
@@ -95,7 +95,7 @@ struct TelemetrySnapshot {
 };
 
 /// Parses a snapshot produced by TelemetrySnapshot::ToJson (strict field
-/// order, same discipline as the query-log reader). Returns false with a
+/// order, read with jsonutil::JsonParser). Returns false with a
 /// diagnostic in `*error` on malformed input.
 bool ParseTelemetrySnapshot(std::string_view json, TelemetrySnapshot* out,
                             std::string* error);
@@ -104,29 +104,21 @@ struct TelemetryOptions {
   /// Tick period. 0 disables the background thread: the owner drives the
   /// sampler with TickNow() (tests, single-shot tools).
   uint64_t interval_ms = 1000;
-  /// Sliding windows retained for the rate/percentile aggregates.
+  /// Sliding windows (newest history samples) the rate/percentile
+  /// aggregates span.
   size_t window_count = 60;
   WatchdogPolicy watchdog;
   /// When non-empty, every tick atomically rewrites this file (temp +
   /// rename) with the current TelemetrySnapshot JSON — the hand-off point
   /// to rdfql_top.
   std::string snapshot_path;
-  /// When set, every tick records the registry snapshot into this history
-  /// ring (and Stop() persists it, if the ring has a jsonl_path). Must
-  /// outlive the sampler. Note the ring sees the raw registry — the series
-  /// Engine::MetricsSnapshot injects on top (pool.*, lock.*) are not in it.
-  MetricsHistory* history = nullptr;
-  /// When set (requires `history`), every tick evaluates the alert rules
-  /// against the ring, embeds the AlertSnapshot into the telemetry
-  /// snapshot, and folds watchdog escalations from firing rules into the
-  /// effective watchdog policy. Must outlive the sampler.
-  AlertEngine* alerts = nullptr;
 };
 
 /// The windowed telemetry sampler + slow-query watchdog. A background
-/// thread ticks every interval: it diffs the metrics registry's cumulative
-/// counters into a sliding-window view (QPS, rejections/s, windowed
-/// p50/p99 of engine.eval_ns), sweeps the in-flight registry against the
+/// thread ticks every interval: it records the metrics registry into the
+/// history ring, evaluates the alert rules against it, reads its sliding
+/// window view (QPS, rejections/s, windowed p50/p99 of engine.eval_ns) off
+/// the ring's newest samples, sweeps the in-flight registry against the
 /// watchdog policy — cancelling offenders through their own tokens — and
 /// publishes the combined snapshot in memory and optionally to a file.
 ///
@@ -134,9 +126,17 @@ struct TelemetryOptions {
 /// query (per-slot locks are held for field copies only).
 class TelemetrySampler {
  public:
-  /// `metrics` and `inflight` must outlive the sampler. Starts the
-  /// background thread unless options.interval_ms == 0.
+  /// `metrics`, `inflight` and `history` must outlive the sampler; every
+  /// tick records one sample into `history` (and Stop() persists it, if
+  /// the ring has a jsonl_path). Note the ring sees the raw registry — the
+  /// series Engine::MetricsSnapshot injects on top (pool.*, lock.*) are not
+  /// in it. `alerts`, when set, must outlive the sampler too: every tick
+  /// evaluates its rules against the ring, embeds the AlertSnapshot into
+  /// the telemetry snapshot, and folds watchdog escalations from firing
+  /// rules into the effective watchdog policy. Starts the background
+  /// thread unless options.interval_ms == 0.
   TelemetrySampler(MetricsRegistry* metrics, InflightRegistry* inflight,
+                   MetricsHistory* history, AlertEngine* alerts,
                    TelemetryOptions options);
   ~TelemetrySampler();
   TelemetrySampler(const TelemetrySampler&) = delete;
@@ -165,18 +165,11 @@ class TelemetrySampler {
 
   MetricsRegistry* metrics_;
   InflightRegistry* inflight_;
+  MetricsHistory* history_;
+  AlertEngine* alerts_;
   TelemetryOptions options_;
 
   mutable std::mutex state_mu_;
-  // Previous tick's cumulative readings (all guarded by state_mu_).
-  bool have_prev_ = false;
-  uint64_t prev_steady_ns_ = 0;
-  uint64_t prev_queries_ = 0;
-  uint64_t prev_rejections_ = 0;
-  uint64_t prev_watchdog_ = 0;
-  uint64_t prev_eval_count_ = 0;
-  std::map<uint64_t, uint64_t> prev_eval_buckets_;
-  std::deque<TelemetryWindow> windows_;
   TelemetrySnapshot latest_;
   uint64_t ticks_ = 0;
   /// Watchdog overrides escalated from firing alert rules (guarded by

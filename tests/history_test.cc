@@ -62,6 +62,10 @@ TEST(HistorySampleTest, ParseRejectsMalformedLines) {
       "{\"unix_ms\":1,\"v\":1}",          // header order is strict
       FullSample().ToJson().substr(0, 40),  // truncated
       FullSample().ToJson() + "x",          // trailing content
+      // A counter of 2^64+1 must not wrap around to 1.
+      "{\"v\":1,\"unix_ms\":1,\"seconds\":1,\"coarse\":false,"
+      "\"counters\":{\"c\":18446744073709551617},\"gauges\":{},"
+      "\"histograms\":{}}",
   };
   for (const std::string& line : cases) {
     HistorySample parsed;

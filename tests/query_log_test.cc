@@ -174,6 +174,8 @@ TEST(QueryLogRecordTest, MalformedLinesAreRejected) {
            "{\"v\":1,\"outcome\":\"ok\"} trailing",  // bytes after object
            "{\"v\":1,\"outcome\":\"ok\"",            // unterminated
            "{\"v\":1,\"outcome\":\"ok\",\"eval_ns\":\"abc\"}",  // bad number
+           // 2^64: past uint64, neither wrapped nor saturated
+           "{\"v\":1,\"outcome\":\"ok\",\"eval_ns\":18446744073709551616}",
        }) {
     error.clear();
     EXPECT_FALSE(ParseQueryLogLine(bad, &out, &error)) << bad;

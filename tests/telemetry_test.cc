@@ -99,6 +99,26 @@ TEST_F(TelemetryEngineTest, ManualTicksDiffCountersIntoWindows) {
   engine_.StopTelemetry();
 }
 
+// Queries that ran before StartTelemetry are in the cumulative total, not
+// in any window: the first window is the history ring's zero-delta
+// baseline.
+TEST_F(TelemetryEngineTest, FirstWindowIsZeroDeltaBaseline) {
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine_.Query("g", "(?x p ?y)").ok());
+  }
+  TelemetryOptions options;
+  options.interval_ms = 0;
+  ASSERT_TRUE(engine_.StartTelemetry(options).ok());
+  engine_.telemetry()->TickNow();
+
+  TelemetrySnapshot snap = engine_.telemetry()->Snapshot();
+  ASSERT_EQ(snap.windows.size(), 1u);
+  EXPECT_EQ(snap.windows.front().queries, 0u);
+  EXPECT_EQ(snap.qps, 0.0);
+  EXPECT_EQ(snap.queries_total, 3u);
+  engine_.StopTelemetry();
+}
+
 TEST_F(TelemetryEngineTest, SnapshotJsonRoundTrips) {
   TelemetryOptions options;
   options.interval_ms = 0;
