@@ -128,8 +128,9 @@ ShellSession& Session() {
 void DoQuery(Engine* engine, const std::string& graph,
              const std::string& text) {
   rdfql::EvalOptions options;
-  // The span tree is single-threaded by contract, so only foreground
-  // queries feed the session tracer (spawned jobs never do).
+  // A tracer is filled on the querying thread after each run and is not
+  // thread-safe, so only foreground queries feed the session tracer
+  // (spawned jobs never do).
   options.tracer = Session().tracer;
   rdfql::Result<rdfql::MappingSet> r = engine->Query(graph, text, options);
   if (!r.ok()) {

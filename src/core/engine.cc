@@ -19,6 +19,7 @@
 #include "util/check.h"
 #include "util/clock.h"
 #include "util/profile_state.h"
+#include "util/string_util.h"
 
 namespace rdfql {
 namespace {
@@ -51,21 +52,6 @@ const char* OutcomeString(StatusCode code) {
 bool CrossedSlowThreshold(const QueryLogRecord& record, const QueryLog& log) {
   uint64_t slow_ms = log.options().slow_ms;
   return slow_ms != 0 && record.parse_ns + record.eval_ns >= slow_ms * 1'000'000;
-}
-
-std::string BytesString(uint64_t bytes) {
-  char buf[32];
-  if (bytes < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%lluB",
-                  static_cast<unsigned long long>(bytes));
-  } else if (bytes < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fKB",
-                  static_cast<double>(bytes) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fMB",
-                  static_cast<double>(bytes) / 1e6);
-  }
-  return buf;
 }
 
 std::string LimitsString(const ResourceLimits& limits) {
@@ -326,7 +312,7 @@ Result<MappingSet> Engine::Run(const std::string& graph_name,
   std::shared_ptr<const MappingSet> hit;
   bool evaluated = false;
   ResourceAccountant local_acct;
-  std::optional<Tracer> tracer;
+  EvalRecord record;
   uint64_t t0 = measured ? SteadyNowNs() : 0;
   // EXPLAIN always evaluates (a served result would leave nothing to
   // instrument); its answer is still stored for later plain queries.
@@ -392,17 +378,13 @@ Result<MappingSet> Engine::Run(const std::string& graph_name,
       if (slot != nullptr && options.cancel == nullptr) {
         options.cancel = slot->token();
       }
-      if (explain != nullptr) {
-        tracer.emplace();
-        options.tracer = &*tracer;
-        options.trace_dict = &dict_;
-        explain->limits = options.limits;
-      }
+      if (options.trace_dict == nullptr) options.trace_dict = &dict_;
+      if (explain != nullptr) explain->limits = options.limits;
       if (slot != nullptr) slot->SetPhase(QueryPhase::kEvaluating);
       t0 = measured ? SteadyNowNs() : 0;
       Result<MappingSet> result = [&] {
         ProfileFrame eval_frame("Eval");
-        return Evaluator(*graph, options).EvalChecked(pattern);
+        return Evaluator(*graph, options).EvalChecked(pattern, &record);
       }();
       rec.eval_ns = measured ? SteadyNowNs() - t0 : 0;
       if (slot != nullptr) slot->SetPhase(QueryPhase::kFinishing);
@@ -445,22 +427,12 @@ Result<MappingSet> Engine::Run(const std::string& graph_name,
   } else {
     RecordRejection(status, slot != nullptr && slot->watchdog_cancelled());
   }
-  if (explain != nullptr) {
-    explain->parse_ns = rec.parse_ns;
-    explain->eval_ns = rec.eval_ns;
-    explain->peak_mappings = rec.peak_mappings;
-    explain->peak_bytes = rec.peak_bytes;
-    explain->total_mappings = rec.total_mappings;
-    explain->correlation_id = rec.correlation_id;
-    explain->cache_note = cc.ExplainNote();
-    if (tracer.has_value() && tracer->root() != nullptr) {
-      explain->explanation.plan = PlanFromSpan(*tracer->root());
-      if (rec.correlation_id != 0) {
-        explain->explanation.plan->counters.emplace_back("correlation_id",
-                                                         rec.correlation_id);
-      }
-    }
-  }
+  // EXPLAIN and the slow-query capture both render the record of the run
+  // that just happened — nothing is evaluated twice.
+  if (log != nullptr) rec.slow = CrossedSlowThreshold(rec, *log);
+  const bool capture = rec.slow && log->options().explain_slow;
+  std::unique_ptr<PlanNode> plan =
+      explain != nullptr || capture ? PlanFromRecord(record, dict_) : nullptr;
   if (log != nullptr) {
     rec.cache = cc.LogOutcome();
     if (status.ok()) {
@@ -469,27 +441,22 @@ Result<MappingSet> Engine::Run(const std::string& graph_name,
       rec.outcome = OutcomeForFailure(status, slot);
       rec.error = status.message();
     }
-    rec.slow = CrossedSlowThreshold(rec, *log);
-    if (rec.slow && log->options().explain_slow && evaluated) {
-      if (explain != nullptr) {
-        // The instrumented plan is already in hand — no re-run needed.
-        rec.explain = explain->explanation.ToString();
-      } else if (status.ok()) {
-        // Capture the full EXPLAIN ANALYZE for the offender: one bounded
-        // re-run under a tracer, governance and accounting cleared so the
-        // capture itself cannot be rejected or skew the figures.
-        EvalOptions explain_options = options;
-        explain_options.limits = ResourceLimits{};
-        explain_options.deadline = Deadline{};
-        explain_options.cancel = nullptr;
-        explain_options.accountant = nullptr;
-        explain_options.metrics = nullptr;
-        rec.explain =
-            ExplainEval(**graph, pattern, dict_, explain_options).ToString();
-      }
-    }
-    log->Record(std::move(rec));
+    if (capture && plan != nullptr) rec.explain = PlanToString(*plan);
   }
+  if (explain != nullptr) {
+    explain->parse_ns = rec.parse_ns;
+    explain->eval_ns = rec.eval_ns;
+    explain->peak_mappings = rec.peak_mappings;
+    explain->peak_bytes = rec.peak_bytes;
+    explain->total_mappings = rec.total_mappings;
+    explain->correlation_id = rec.correlation_id;
+    explain->cache_note = cc.ExplainNote();
+    if (plan != nullptr && rec.correlation_id != 0) {
+      plan->counters.emplace_back("correlation_id", rec.correlation_id);
+    }
+    explain->explanation.plan = std::move(plan);
+  }
+  if (log != nullptr) log->Record(std::move(rec));
   if (!status.ok()) return status;
   return rows;
 }

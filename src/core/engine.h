@@ -170,11 +170,10 @@ class Engine {
                            std::string_view query,
                            EvalOptions options = {});
 
-  /// Parse + evaluate under a tracer: returns the results together with a
-  /// per-operator EXPLAIN ANALYZE plan, phase timings and the query's peak
-  /// mapping/byte figures. The same run as Query (see Run) except that it
-  /// never serves a cached result; `options`' tracer/trace_dict fields are
-  /// overridden.
+  /// Parse + evaluate, returning the results together with a per-operator
+  /// EXPLAIN ANALYZE plan rendered from the run's EvalRecord, phase timings
+  /// and the query's peak mapping/byte figures. The same run as Query (see
+  /// Run) except that it never serves a cached result.
   Result<QueryExplanation> QueryExplained(const std::string& graph_name,
                                           std::string_view query,
                                           EvalOptions options = {});
@@ -443,9 +442,9 @@ class Engine {
   /// through the plan cache unless `pattern` is already given, and the
   /// run fills one QueryLogRecord that the log, the inflight slot, the
   /// engine.* metrics and (with `explain` set) the EXPLAIN header are all
-  /// read from. With `explain`, the evaluation runs under a Tracer and the
-  /// plan is built from its spans; the result cache is stored but never
-  /// served. The same rules hold on every outcome:
+  /// read from. The EXPLAIN plan and a slow query's logged `explain` text
+  /// are rendered from the run's EvalRecord; with `explain` the result
+  /// cache is stored but never served. The same rules hold on every outcome:
   ///   - engine.queries counts every run; engine.parse_ns observes every
   ///     parse, failed ones included; engine.eval_ns and the fragment
   ///     histogram every evaluation or result-cache hit; the accountant

@@ -1,10 +1,12 @@
 #include "eval/evaluator.h"
 
 #include <optional>
+#include <thread>
 
 #include "algebra/pattern_printer.h"
 #include "eval/ns.h"
 #include "util/check.h"
+#include "util/clock.h"
 
 namespace rdfql {
 
@@ -30,6 +32,89 @@ const char* PatternOpName(PatternKind kind) {
   return "?";
 }
 
+std::string NodeDetail(const Pattern& p, const Dictionary* dict) {
+  if (dict == nullptr) return "";
+  switch (p.kind()) {
+    case PatternKind::kTriple:
+      return TriplePatternToString(p.triple(), *dict);
+    case PatternKind::kFilter:
+      return p.condition()->ToString(*dict);
+    case PatternKind::kSelect: {
+      std::string vars;
+      for (VarId v : p.projection()) vars += " ?" + dict->VarName(v);
+      return "{" + (vars.empty() ? "" : vars.substr(1)) + "}";
+    }
+    default:
+      return "";
+  }
+}
+
+void EvalRecord::Build(const Pattern& root) {
+  nodes.clear();
+  // Pre-order via an explicit stack (children pushed right to left). A
+  // UNION inside a spine gets no node: its operands join the spine.
+  struct Item {
+    const Pattern* pattern;
+    uint32_t parent;
+    bool in_spine;
+  };
+  std::vector<Item> stack{{&root, kNoParent, false}};
+  while (!stack.empty()) {
+    Item item = stack.back();
+    stack.pop_back();
+    const Pattern& p = *item.pattern;
+    const bool is_union = p.kind() == PatternKind::kUnion;
+    uint32_t id = item.parent;
+    if (!(is_union && item.in_spine)) {
+      id = static_cast<uint32_t>(nodes.size());
+      Node& node = nodes.emplace_back();
+      node.pattern = &p;
+      node.parent = item.parent;
+      node.end = id + 1;
+    }
+    switch (p.kind()) {
+      case PatternKind::kTriple:
+        break;
+      case PatternKind::kFilter:
+      case PatternKind::kSelect:
+      case PatternKind::kNs:
+        stack.push_back({p.child().get(), id, false});
+        break;
+      default:
+        stack.push_back({p.right().get(), id, is_union});
+        stack.push_back({p.left().get(), id, is_union});
+    }
+  }
+  // Descendants follow their ancestor, so a backward pass propagates ends.
+  for (size_t i = nodes.size(); i-- > 1;) {
+    Node& parent = nodes[nodes[i].parent];
+    if (nodes[i].end > parent.end) parent.end = nodes[i].end;
+  }
+}
+
+void EvalRecord::ExportSpans(Tracer* tracer, const Dictionary* dict) const {
+  // Track 1 is the thread that ran the root; other threads get the next
+  // free track as they first appear.
+  std::vector<std::pair<std::thread::id, uint32_t>> tracks;
+  auto track = [&tracks](std::thread::id thread) {
+    for (const auto& [t, k] : tracks) {
+      if (t == thread) return k;
+    }
+    tracks.emplace_back(thread, static_cast<uint32_t>(tracks.size()) + 1);
+    return tracks.back().second;
+  };
+  std::vector<TraceSpan*> spans(nodes.size(), nullptr);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const Node& n = nodes[i];
+    if (!n.ran()) continue;
+    TraceSpan* parent = n.parent == kNoParent ? nullptr : spans[n.parent];
+    spans[i] = tracer->AddSpan(parent, PatternOpName(n.pattern->kind()),
+                               NodeDetail(*n.pattern, dict), n.start_ns,
+                               n.wall_ns, track(n.thread));
+    n.counters.AttachTo(spans[i]);
+  }
+}
+
 void Evaluator::InitPool() {
   if (options_.threads <= 1) return;
   if (options_.pool != nullptr) {
@@ -40,41 +125,13 @@ void Evaluator::InitPool() {
   pool_ = owned_pool_.get();
 }
 
-MappingSet Evaluator::Eval(const PatternPtr& pattern) const {
-  RDFQL_CHECK(pattern != nullptr);
-  // Install only a non-null accountant: options_.accountant == nullptr must
-  // not shadow one a caller put up around this evaluation.
-  std::optional<ScopedAccounting> install;
-  if (options_.accountant != nullptr) install.emplace(options_.accountant);
-  MappingSet result = EvalNode(*pattern);
-  result.DetachAccounting();
-  return result;
-}
-
-MappingSet Evaluator::EvalMax(const PatternPtr& pattern) const {
-  RDFQL_CHECK(pattern != nullptr);
-  std::optional<ScopedAccounting> install;
-  if (options_.accountant != nullptr) install.emplace(options_.accountant);
-  MappingSet result = ApplyNs(EvalNode(*pattern));
-  result.DetachAccounting();
-  return result;
-}
-
-Result<MappingSet> Evaluator::EvalChecked(const PatternPtr& pattern) const {
-  return EvalGoverned(pattern, /*max=*/false);
-}
-
-Result<MappingSet> Evaluator::EvalMaxChecked(const PatternPtr& pattern) const {
-  return EvalGoverned(pattern, /*max=*/true);
-}
-
 Result<MappingSet> Evaluator::EvalGoverned(const PatternPtr& pattern,
-                                           bool max) const {
-  RDFQL_CHECK(pattern != nullptr);
+                                           bool max,
+                                           EvalRecord* record) const {
   if (!options_.governed()) {
     // Nothing to enforce: take the plain path (no token install, so the
     // per-operator checkpoints stay a null test).
-    return max ? EvalMax(pattern) : Eval(pattern);
+    return EvalRecorded(pattern, max, record);
   }
   CancellationToken local_token;
   CancellationToken* token =
@@ -100,10 +157,9 @@ Result<MappingSet> Evaluator::EvalGoverned(const PatternPtr& pattern,
   std::optional<ScopedAccounting> install_acct;
   if (acct != nullptr) install_acct.emplace(acct);
   ScopedCancellation install_token(token);
-  MappingSet result = max ? ApplyNs(EvalNode(*pattern)) : EvalNode(*pattern);
+  MappingSet result = EvalRecorded(pattern, max, record);
   if (acct != nullptr) acct->DisarmCaps();
   if (token->cancelled()) return token->status();
-  result.DetachAccounting();
   return result;
 }
 
@@ -113,66 +169,68 @@ MappingSet Evaluator::ApplyNs(const MappingSet& input) const {
              : RemoveSubsumedNaive(input);
 }
 
-void Evaluator::EvalBranches(const Pattern& left, const Pattern& right,
-                             MappingSet* l, MappingSet* r) const {
-  // Callers only reach here when ParallelSubtrees() holds; the guard is
-  // kept as a safety net. Keeping the serial fallback at the call sites
-  // (not here) matters for stack depth: UCQ expansions produce patterns
-  // tens of thousands of nodes deep, and an extra frame per level is the
-  // difference between fitting in the stack and overflowing it.
-  if (pool_ == nullptr || options_.tracer != nullptr) {
-    *l = EvalNode(left);
-    *r = EvalNode(right);
-    return;
-  }
-  // A branch that lands on a worker thread starts with no counter sink
-  // installed there; give each branch a private sink mirroring the calling
-  // thread's, and merge after the join so totals match the serial run.
-  OpCounters* parent_sink = ScopedOpCounters::Current();
-  OpCounters branch_counters[2];
-  pool_->ParallelFor(2, [&](size_t i) {
-    ScopedOpCounters install(parent_sink != nullptr ? &branch_counters[i]
-                                                    : nullptr);
-    if (i == 0) {
-      *l = EvalNode(left);
-    } else {
-      *r = EvalNode(right);
+MappingSet Evaluator::EvalRecorded(const PatternPtr& pattern, bool max,
+                                   EvalRecord* record) const {
+  RDFQL_CHECK(pattern != nullptr);
+  // Install only a non-null accountant: options_.accountant == nullptr must
+  // not shadow one a caller (or EvalGoverned) put up around this run.
+  std::optional<ScopedAccounting> install;
+  if (options_.accountant != nullptr) install.emplace(options_.accountant);
+  EvalRecord local;
+  if (record == nullptr) record = &local;
+  record->Build(*pattern);
+  MappingSet result = EvalNode(record, 0);
+  if (max) result = ApplyNs(result);
+  result.DetachAccounting();
+  if (MetricsRegistry* m = options_.metrics) {
+    OpCounters t;
+    uint64_t nodes_run = 0;
+    for (const EvalRecord::Node& n : record->nodes) {
+      nodes_run += n.ran();
+      t.join_probes += n.counters.join_probes;
+      t.index_probes += n.counters.index_probes;
+      t.ns_pairs_compared += n.counters.ns_pairs_compared;
+      t.filter_evals += n.counters.filter_evals;
+      t.mappings_out += n.counters.mappings_out;
     }
-  });
-  if (parent_sink != nullptr) {
-    parent_sink->MergeFrom(branch_counters[0]);
-    parent_sink->MergeFrom(branch_counters[1]);
+    m->GetCounter("eval.nodes")->Inc(nodes_run);
+    m->GetCounter("eval.join_probes")->Inc(t.join_probes);
+    m->GetCounter("eval.index_probes")->Inc(t.index_probes);
+    m->GetCounter("eval.ns_pairs_compared")->Inc(t.ns_pairs_compared);
+    m->GetCounter("eval.filter_evals")->Inc(t.filter_evals);
+    m->GetCounter("eval.mappings_out")->Inc(t.mappings_out);
   }
+  if (options_.tracer != nullptr) {
+    record->ExportSpans(options_.tracer, options_.trace_dict);
+  }
+  return result;
 }
 
-MappingSet Evaluator::EvalUnionSpine(const Pattern& p) const {
-  // In-order leaves of the maximal UNION subtree rooted at p, collected
-  // with an explicit stack (the spine can be deeper than the call stack).
-  std::vector<const Pattern*> disjuncts;
-  std::vector<const Pattern*> walk{&p};
-  while (!walk.empty()) {
-    const Pattern* cur = walk.back();
-    walk.pop_back();
-    if (cur->kind() == PatternKind::kUnion) {
-      walk.push_back(cur->right().get());
-      walk.push_back(cur->left().get());
-    } else {
-      disjuncts.push_back(cur);
-    }
+void Evaluator::EvalBranches(EvalRecord* rec, uint32_t id, MappingSet* l,
+                             MappingSet* r) const {
+  // The serial fallback stays at the call sites: an extra frame per tree
+  // level would cost deep patterns stack. Each branch writes only its own
+  // record slots, so nothing needs merging after the join.
+  const uint32_t left = id + 1;
+  const uint32_t right = rec->nodes[left].end;
+  pool_->ParallelFor(2, [&](size_t i) {
+    (i == 0 ? *l : *r) = EvalNode(rec, i == 0 ? left : right);
+  });
+}
+
+MappingSet Evaluator::EvalUnionSpine(EvalRecord* rec, uint32_t id) const {
+  std::vector<uint32_t> disjuncts;
+  for (uint32_t c = id + 1; c < rec->nodes[id].end; c = rec->nodes[c].end) {
+    disjuncts.push_back(c);
   }
   std::vector<MappingSet> parts(disjuncts.size());
-  if (ParallelSubtrees() && disjuncts.size() > 1) {
-    OpCounters* parent_sink = ScopedOpCounters::Current();
-    std::vector<OpCounters> sinks(parent_sink != nullptr ? disjuncts.size()
-                                                         : 0);
+  if (ParallelSubtrees()) {
     pool_->ParallelFor(disjuncts.size(), [&](size_t i) {
-      ScopedOpCounters install(parent_sink != nullptr ? &sinks[i] : nullptr);
-      parts[i] = EvalNode(*disjuncts[i]);
+      parts[i] = EvalNode(rec, disjuncts[i]);
     });
-    for (const OpCounters& s : sinks) parent_sink->MergeFrom(s);
   } else {
     for (size_t i = 0; i < disjuncts.size(); ++i) {
-      parts[i] = EvalNode(*disjuncts[i]);
+      parts[i] = EvalNode(rec, disjuncts[i]);
     }
   }
   // Folding left to right with the deduplicating Add reproduces exactly
@@ -257,62 +315,26 @@ MappingSet Evaluator::EvalTriple(const TriplePattern& t) const {
   return out;
 }
 
-MappingSet Evaluator::EvalNode(const Pattern& p) const {
-  // Mirrors the span labels into the sampling profiler's tag stack, so
-  // folded stacks read Engine::Query;Eval;AND;TRIPLE just like a Chrome
-  // trace. With a tracer attached, ScopedSpan (EvalNodeObserved) pushes
-  // the same tag instead — gating here avoids AND;AND double frames.
+MappingSet Evaluator::EvalNode(EvalRecord* rec, uint32_t id) const {
+  // Mirrors the node's operator into the sampling profiler's tag stack, so
+  // folded stacks read Engine::Query;Eval;AND;TRIPLE like a Chrome trace.
   ProfileFrame profile_frame(
-      profiled_ && options_.tracer == nullptr ? PatternOpName(p.kind())
-                                              : nullptr);
-  if (!options_.observed()) [[likely]] {
-    return EvalNodeImpl(p);
-  }
-  return EvalNodeObserved(p);
-}
-
-std::string Evaluator::NodeDetail(const Pattern& p) const {
-  const Dictionary* dict = options_.trace_dict;
-  if (dict == nullptr) return "";
-  switch (p.kind()) {
-    case PatternKind::kTriple:
-      return TriplePatternToString(p.triple(), *dict);
-    case PatternKind::kFilter:
-      return p.condition()->ToString(*dict);
-    case PatternKind::kSelect: {
-      std::string vars;
-      for (VarId v : p.projection()) vars += " ?" + dict->VarName(v);
-      return "{" + (vars.empty() ? "" : vars.substr(1)) + "}";
-    }
-    default:
-      return "";
-  }
-}
-
-MappingSet Evaluator::EvalNodeObserved(const Pattern& p) const {
-  ScopedSpan span(options_.tracer, PatternOpName(p.kind()), NodeDetail(p));
-  OpCounters counters;
+      profiled_ ? PatternOpName(rec->nodes[id].pattern->kind()) : nullptr);
+  EvalRecord::Node& node = rec->nodes[id];
+  node.thread = std::this_thread::get_id();
+  node.start_ns = SteadyNowNs();
   MappingSet result;
   {
-    // Children re-enter EvalNodeObserved and install their own sink, so
-    // `counters` sees exactly this node's own work.
-    ScopedOpCounters install(&counters);
-    result = EvalNodeImpl(p);
+    // Children install their own slots: this one sees only own work.
+    ScopedOpCounters install(&node.counters);
+    result = EvalOperator(rec, id);
   }
-  counters.mappings_out = result.size();
-  counters.AttachTo(&span);
-  if (MetricsRegistry* m = options_.metrics) {
-    m->GetCounter("eval.nodes")->Inc();
-    m->GetCounter("eval.join_probes")->Inc(counters.join_probes);
-    m->GetCounter("eval.index_probes")->Inc(counters.index_probes);
-    m->GetCounter("eval.ns_pairs_compared")->Inc(counters.ns_pairs_compared);
-    m->GetCounter("eval.filter_evals")->Inc(counters.filter_evals);
-    m->GetCounter("eval.mappings_out")->Inc(counters.mappings_out);
-  }
+  node.counters.mappings_out = result.size();
+  node.wall_ns = SteadyNowNs() - node.start_ns;
   return result;
 }
 
-MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
+MappingSet Evaluator::EvalOperator(EvalRecord* rec, uint32_t id) const {
   // The per-operator cooperative checkpoint. Ungoverned queries pay one
   // relaxed load + null test here (bench_limits_overhead keeps it honest);
   // once a token trips, every remaining operator short-circuits to an empty
@@ -320,22 +342,23 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
   if (!CooperativeCheckpoint()) [[unlikely]] {
     return MappingSet();
   }
+  const Pattern& p = *rec->nodes[id].pattern;
   switch (p.kind()) {
     case PatternKind::kTriple:
       return EvalTriple(p.triple());
     case PatternKind::kAnd: {
       if (options_.join == EvalOptions::Join::kIndexNestedLoop &&
           p.right()->kind() == PatternKind::kTriple) {
-        MappingSet l = EvalNode(*p.left());
+        MappingSet l = EvalNode(rec, id + 1);
         ProfileFrame join_frame(profiled_ ? "JoinIndexNested" : nullptr);
         return IndexJoinWithTriple(l, p.right()->triple());
       }
       MappingSet l, r;
       if (ParallelSubtrees()) {
-        EvalBranches(*p.left(), *p.right(), &l, &r);
+        EvalBranches(rec, id, &l, &r);
       } else {
-        l = EvalNode(*p.left());
-        r = EvalNode(*p.right());
+        l = EvalNode(rec, id + 1);
+        r = EvalNode(rec, rec->nodes[id + 1].end);
       }
       if (options_.join == EvalOptions::Join::kNestedLoop) {
         ProfileFrame join_frame(profiled_ ? "JoinNested" : nullptr);
@@ -344,27 +367,18 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
       ProfileFrame join_frame(profiled_ ? "JoinHash" : nullptr);
       return MappingSet::Join(l, r, pool_);
     }
-    case PatternKind::kUnion: {
-      // The unobserved path flattens the whole UNION spine (stack safety
-      // on deep UCQ chains + multi-way parallel disjuncts); the observed
-      // path recurses two-way so each UNION node keeps its own span.
-      if (!options_.observed()) {
-        return EvalUnionSpine(p);
-      }
-      MappingSet l = EvalNode(*p.left());
-      MappingSet r = EvalNode(*p.right());
-      return MappingSet::UnionSets(l, r);
-    }
+    case PatternKind::kUnion:
+      return EvalUnionSpine(rec, id);
     case PatternKind::kOpt: {
       // The difference half of ⟕ = ⋈ ∪ ∖ needs ⟦P2⟧G materialized whatever
       // the join strategy, so the index-join shortcut never pays here (see
       // the note on EvalOptions::Join::kIndexNestedLoop in evaluator.h).
       MappingSet l, r;
       if (ParallelSubtrees()) {
-        EvalBranches(*p.left(), *p.right(), &l, &r);
+        EvalBranches(rec, id, &l, &r);
       } else {
-        l = EvalNode(*p.left());
-        r = EvalNode(*p.right());
+        l = EvalNode(rec, id + 1);
+        r = EvalNode(rec, rec->nodes[id + 1].end);
       }
       MappingSet joined;
       if (options_.join == EvalOptions::Join::kNestedLoop) {
@@ -379,15 +393,15 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
     case PatternKind::kMinus: {
       MappingSet l, r;
       if (ParallelSubtrees()) {
-        EvalBranches(*p.left(), *p.right(), &l, &r);
+        EvalBranches(rec, id, &l, &r);
       } else {
-        l = EvalNode(*p.left());
-        r = EvalNode(*p.right());
+        l = EvalNode(rec, id + 1);
+        r = EvalNode(rec, rec->nodes[id + 1].end);
       }
       return MappingSet::Minus(l, r, pool_);
     }
     case PatternKind::kFilter: {
-      MappingSet in = EvalNode(*p.child());
+      MappingSet in = EvalNode(rec, id + 1);
       MappingSet out;
       for (const Mapping& m : in) {
         if (p.condition()->Eval(m)) out.Add(m);
@@ -398,7 +412,7 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
       return out;
     }
     case PatternKind::kSelect: {
-      MappingSet in = EvalNode(*p.child());
+      MappingSet in = EvalNode(rec, id + 1);
       MappingSet out;
       for (const Mapping& m : in) {
         out.Add(m.RestrictTo(p.projection()));
@@ -406,7 +420,7 @@ MappingSet Evaluator::EvalNodeImpl(const Pattern& p) const {
       return out;
     }
     case PatternKind::kNs:
-      return ApplyNs(EvalNode(*p.child()));
+      return ApplyNs(EvalNode(rec, id + 1));
   }
   RDFQL_CHECK_MSG(false, "unreachable");
   return MappingSet();

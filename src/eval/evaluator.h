@@ -1,8 +1,11 @@
 #ifndef RDFQL_EVAL_EVALUATOR_H_
 #define RDFQL_EVAL_EVALUATOR_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "algebra/mapping_set.h"
 #include "algebra/pattern.h"
@@ -64,12 +67,11 @@ struct EvalOptions {
   /// Ignored when threads <= 1.
   ThreadPool* pool = nullptr;
 
-  // --- Observability (all opt-in; defaults keep the hot path free) ---
-  /// When set, every operator node is evaluated under an RAII span carrying
-  /// its wall time and work counters; the span tree mirrors the pattern
-  /// tree. The tracer must outlive the evaluation (single-threaded use).
+  // --- Observability (opt-in views of the run's EvalRecord) ---
+  /// When set, the record is exported as spans after the run, on the
+  /// calling thread. The tracer must outlive the evaluation.
   Tracer* tracer = nullptr;
-  /// When set, per-operator work counters are also accumulated into this
+  /// When set, the record's totals are added once per evaluation to this
   /// registry under `eval.*` names (see docs/observability.md).
   MetricsRegistry* metrics = nullptr;
   /// Dictionary for human-readable span labels ("(?x p ?y)"). Optional;
@@ -105,10 +107,37 @@ struct EvalOptions {
   /// one object. When null, EvalChecked uses a private token.
   CancellationToken* cancel = nullptr;
 
-  bool observed() const { return tracer != nullptr || metrics != nullptr; }
   bool governed() const {
     return cancel != nullptr || !deadline.infinite() || limits.Enforced();
   }
+};
+
+/// One evaluation's per-node record, the source of EXPLAIN, the slow-query
+/// log, the `eval.*` metrics and tracer spans. Nodes are numbered in
+/// pre-order; a maximal UNION spine is one n-ary node over its disjuncts,
+/// as the evaluator runs it. Each node writes only its own slot, on the
+/// thread that runs it, so parallel subtrees need no merging.
+struct EvalRecord {
+  static constexpr uint32_t kNoParent = UINT32_MAX;
+  struct Node {
+    const Pattern* pattern = nullptr;
+    uint32_t parent = kNoParent;
+    uint32_t end = 0;         // one past the last descendant's id
+    std::thread::id thread;   // the thread that ran it; none if it never ran
+    uint64_t start_ns = 0;    // SteadyNowNs() when the node started
+    uint64_t wall_ns = 0;     // the node's wall time, children included
+    OpCounters counters;      // own work; mappings_out is the rows out
+
+    bool ran() const { return thread != std::thread::id(); }
+  };
+  std::vector<Node> nodes;
+
+  /// Numbers `root`'s nodes afresh, iteratively (UCQ spines run tens of
+  /// thousands of nodes deep).
+  void Build(const Pattern& root);
+  /// Adds every node that ran as a span under the tracer's innermost open
+  /// span, labelled through `dict` (may be null).
+  void ExportSpans(Tracer* tracer, const Dictionary* dict) const;
 };
 
 /// Bottom-up evaluator implementing ⟦P⟧G exactly as defined in Section 2.1
@@ -140,11 +169,19 @@ class Evaluator {
     InitPool();
   }
 
+  // Every entry point fills `record` when given (a private one otherwise).
+
   /// ⟦P⟧G.
-  MappingSet Eval(const PatternPtr& pattern) const;
+  MappingSet Eval(const PatternPtr& pattern,
+                  EvalRecord* record = nullptr) const {
+    return EvalRecorded(pattern, /*max=*/false, record);
+  }
 
   /// ⟦P⟧max_G — the maximal answers (Section 5.1).
-  MappingSet EvalMax(const PatternPtr& pattern) const;
+  MappingSet EvalMax(const PatternPtr& pattern,
+                     EvalRecord* record = nullptr) const {
+    return EvalRecorded(pattern, /*max=*/true, record);
+  }
 
   /// ⟦P⟧G under the options' resource governance: enforces
   /// options.limits / options.deadline / options.cancel cooperatively and
@@ -152,44 +189,46 @@ class Evaluator {
   /// a truncated result. With no governance configured this is exactly
   /// Eval() wrapped in an always-OK Result. Results are bit-identical to
   /// Eval() whenever no limit trips.
-  Result<MappingSet> EvalChecked(const PatternPtr& pattern) const;
+  Result<MappingSet> EvalChecked(const PatternPtr& pattern,
+                                 EvalRecord* record = nullptr) const {
+    return EvalGoverned(pattern, /*max=*/false, record);
+  }
 
   /// EvalMax with the same governance contract as EvalChecked.
-  Result<MappingSet> EvalMaxChecked(const PatternPtr& pattern) const;
+  Result<MappingSet> EvalMaxChecked(const PatternPtr& pattern,
+                                    EvalRecord* record = nullptr) const {
+    return EvalGoverned(pattern, /*max=*/true, record);
+  }
 
  private:
-  Result<MappingSet> EvalGoverned(const PatternPtr& pattern, bool max) const;
+  Result<MappingSet> EvalGoverned(const PatternPtr& pattern, bool max,
+                                  EvalRecord* record) const;
   /// Resolves options_.threads/pool into pool_ (see EvalOptions::pool).
   void InitPool();
-  MappingSet EvalNode(const Pattern& p) const;
-  /// The uninstrumented operator dispatch (the hot path).
-  MappingSet EvalNodeImpl(const Pattern& p) const;
-  /// EvalNodeImpl wrapped in a span + per-node counter sink.
-  MappingSet EvalNodeObserved(const Pattern& p) const;
+  /// Builds the record, evaluates it under options_.accountant (plus NS for
+  /// ⟦P⟧max_G) and renders the metrics and tracer views.
+  MappingSet EvalRecorded(const PatternPtr& pattern, bool max,
+                          EvalRecord* record) const;
+  /// The one dispatch: times record node `id`, with its slot installed as
+  /// the thread's counter sink.
+  MappingSet EvalNode(EvalRecord* rec, uint32_t id) const;
+  MappingSet EvalOperator(EvalRecord* rec, uint32_t id) const;
   /// Whether independent subtrees may evaluate concurrently: a pool is
-  /// available and no tracer is attached (the span tree is single-threaded
-  /// by contract). Callers fall back to direct EvalNode calls otherwise —
+  /// available. Callers fall back to direct EvalNode calls otherwise —
   /// inline, so the serial path adds no stack frame per tree level.
-  bool ParallelSubtrees() const {
-    return pool_ != nullptr && options_.tracer == nullptr;
-  }
-  /// Evaluates two independent subtrees into *l / *r on the pool; call
-  /// only when ParallelSubtrees() holds.
-  void EvalBranches(const Pattern& left, const Pattern& right, MappingSet* l,
+  bool ParallelSubtrees() const { return pool_ != nullptr; }
+  /// Evaluates the binary node `id`'s two subtrees into *l / *r on the
+  /// pool; call only when ParallelSubtrees() holds.
+  void EvalBranches(EvalRecord* rec, uint32_t id, MappingSet* l,
                     MappingSet* r) const;
-  /// Evaluates the in-order disjuncts of a maximal UNION spine and folds
-  /// them left to right — iteratively, because UCQ expansions build spines
-  /// tens of thousands of nodes deep that would overflow the stack if each
-  /// level recursed. Used on the unobserved path only (the traced path
-  /// keeps per-node recursion so every UNION node gets its span).
-  MappingSet EvalUnionSpine(const Pattern& p) const;
+  /// Evaluates the disjuncts of the n-ary UNION node `id` (concurrently
+  /// when ParallelSubtrees() holds) and folds them left to right; the
+  /// record flattened the spine, so its length costs no stack depth.
+  MappingSet EvalUnionSpine(EvalRecord* rec, uint32_t id) const;
   MappingSet EvalTriple(const TriplePattern& t) const;
   MappingSet IndexJoinWithTriple(const MappingSet& left,
                                  const TriplePattern& t) const;
   MappingSet ApplyNs(const MappingSet& input) const;
-  /// Span label for a node ("(?x p ?y)" for triples, the condition for
-  /// FILTER, ...); empty without options_.trace_dict.
-  std::string NodeDetail(const Pattern& p) const;
 
   Matcher matcher_;
   EvalOptions options_;
@@ -210,6 +249,11 @@ MappingSet EvalPattern(const Graph& graph, const PatternPtr& pattern,
 /// The operator's display name ("TRIPLE", "AND", ...), shared by spans and
 /// EXPLAIN output.
 const char* PatternOpName(PatternKind kind);
+
+/// A node's label detail ("(?x p ?y)" for triples, the condition for
+/// FILTER, the projection for SELECT); empty for other operators or
+/// without a dictionary.
+std::string NodeDetail(const Pattern& p, const Dictionary* dict);
 
 }  // namespace rdfql
 

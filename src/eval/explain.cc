@@ -1,9 +1,7 @@
 #include "eval/explain.h"
 
-#include <cstdio>
-
-#include "obs/tracer.h"
 #include "util/check.h"
+#include "util/clock.h"
 
 namespace rdfql {
 namespace {
@@ -28,19 +26,6 @@ void Render(const PlanNode& node, int depth, std::string* out) {
 
 }  // namespace
 
-std::string DurationString(uint64_t ns) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%lluns",
-                  static_cast<unsigned long long>(ns));
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", static_cast<double>(ns) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(ns) / 1e6);
-  }
-  return buf;
-}
-
 uint64_t PlanNode::GetCounter(std::string_view name) const {
   for (const auto& [n, v] : counters) {
     if (n == name) return v;
@@ -48,17 +33,28 @@ uint64_t PlanNode::GetCounter(std::string_view name) const {
   return 0;
 }
 
-std::unique_ptr<PlanNode> PlanFromSpan(const TraceSpan& span) {
-  auto node = std::make_unique<PlanNode>();
-  node->label =
-      span.detail.empty() ? span.op : span.op + " " + span.detail;
-  node->cardinality = span.GetCounter("mappings_out");
-  node->wall_ns = span.duration_ns;
-  node->counters = span.counters;
-  for (const auto& child : span.children) {
-    node->children.push_back(PlanFromSpan(*child));
+std::unique_ptr<PlanNode> PlanFromRecord(const EvalRecord& record,
+                                         const Dictionary& dict) {
+  std::unique_ptr<PlanNode> root;
+  std::vector<PlanNode*> made(record.nodes.size(), nullptr);
+  for (size_t i = 0; i < record.nodes.size(); ++i) {
+    const EvalRecord::Node& n = record.nodes[i];
+    if (!n.ran()) continue;
+    auto node = std::make_unique<PlanNode>();
+    node->label = PatternOpName(n.pattern->kind());
+    std::string detail = NodeDetail(*n.pattern, &dict);
+    if (!detail.empty()) node->label += " " + detail;
+    node->cardinality = n.counters.mappings_out;
+    node->wall_ns = n.wall_ns;
+    node->counters = n.counters.Named();
+    made[i] = node.get();
+    if (n.parent == EvalRecord::kNoParent) {
+      root = std::move(node);
+    } else {
+      made[n.parent]->children.push_back(std::move(node));
+    }
   }
-  return node;
+  return root;
 }
 
 size_t Explanation::TotalIntermediate() const {
@@ -66,22 +62,22 @@ size_t Explanation::TotalIntermediate() const {
 }
 
 std::string Explanation::ToString() const {
+  return plan == nullptr ? std::string() : PlanToString(*plan);
+}
+
+std::string PlanToString(const PlanNode& plan) {
   std::string out;
-  if (plan != nullptr) Render(*plan, 0, &out);
+  Render(plan, 0, &out);
   return out;
 }
 
 Explanation ExplainEval(const Graph& graph, const PatternPtr& pattern,
                         const Dictionary& dict, EvalOptions options) {
   RDFQL_CHECK(pattern != nullptr);
-  Tracer tracer;
-  options.tracer = &tracer;
-  options.trace_dict = &dict;
-  Evaluator evaluator(&graph, options);
+  EvalRecord record;
   Explanation explanation;
-  explanation.result = evaluator.Eval(pattern);
-  RDFQL_CHECK(tracer.root() != nullptr);
-  explanation.plan = PlanFromSpan(*tracer.root());
+  explanation.result = Evaluator(&graph, options).Eval(pattern, &record);
+  explanation.plan = PlanFromRecord(record, dict);
   return explanation;
 }
 

@@ -14,10 +14,10 @@
 
 namespace rdfql {
 
-/// One node of an evaluation trace: the operator, its result cardinality,
+/// One node of an evaluated plan: the operator, its result cardinality,
 /// its wall time and work counters, and its children — the EXPLAIN ANALYZE
-/// of the engine. Built from the span tree the tracer records during a
-/// real evaluation (not an estimate).
+/// of the engine. Built from the EvalRecord of a real evaluation (not an
+/// estimate), at whatever thread count it ran.
 struct PlanNode {
   std::string label;        // e.g. "AND", "TRIPLE (?x a ?y)", "NS"
   size_t cardinality = 0;   // |result| at this node
@@ -48,21 +48,20 @@ struct Explanation {
   std::string ToString() const;
 };
 
-/// Evaluates with the production evaluator under a tracer, recording every
+/// Evaluates with the production evaluator and renders its record: every
 /// operator's output cardinality, wall time and work counters. Used by the
 /// shell's `explain` command and the optimizer tests (intermediate-size
-/// assertions). `options`' tracer/trace_dict fields are overridden; join
-/// and NS algorithm choices are honored.
+/// assertions). Every option is honored, threads included.
 Explanation ExplainEval(const Graph& graph, const PatternPtr& pattern,
                         const Dictionary& dict, EvalOptions options = {});
 
-/// Converts a recorded span (tree) into a PlanNode tree; exposed for
-/// callers that run their own tracer (the engine's EXPLAIN run).
-std::unique_ptr<PlanNode> PlanFromSpan(const TraceSpan& span);
+/// Renders a plan as Explanation::ToString does.
+std::string PlanToString(const PlanNode& plan);
 
-/// A duration as "850ns", "12.3us" or "4.5ms" — the one formatter behind
-/// the plan tree's `t=` figures and the engine's EXPLAIN header.
-std::string DurationString(uint64_t ns);
+/// The plan tree of a recorded evaluation (its nodes that ran), labelled
+/// through `dict`; null when the record's root never ran.
+std::unique_ptr<PlanNode> PlanFromRecord(const EvalRecord& record,
+                                         const Dictionary& dict);
 
 }  // namespace rdfql
 

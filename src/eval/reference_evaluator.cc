@@ -146,7 +146,6 @@ Rows Eval(const Graph& g, const Pattern& p) {
 MappingSet ReferenceEval(const Graph& graph, const PatternPtr& pattern,
                          Tracer* tracer) {
   RDFQL_CHECK(pattern != nullptr);
-  if (tracer == nullptr) return MappingSet::FromList(Eval(graph, *pattern));
   ScopedSpan span(tracer, "REFERENCE");
   OpCounters counters;
   MappingSet result;
@@ -155,7 +154,7 @@ MappingSet ReferenceEval(const Graph& graph, const PatternPtr& pattern,
     result = MappingSet::FromList(Eval(graph, *pattern));
   }
   counters.mappings_out = result.size();
-  counters.AttachTo(&span);
+  counters.AttachTo(span.span());
   return result;
 }
 

@@ -100,14 +100,6 @@ Result<MappingSet> EvalWellDesignedTopDown(const Graph& graph,
                          BuildWdTree(pattern));
   MappingSet seeds;
   seeds.Add(Mapping());
-  if (tracer == nullptr && metrics == nullptr) {
-    MappingSet result = EvalNode(graph, *tree, seeds);
-    if (CancellationToken* token = CancellationToken::Current();
-        token != nullptr && token->cancelled()) {
-      return token->status();
-    }
-    return result;
-  }
   ScopedSpan span(tracer, "WD-TOPDOWN");
   OpCounters counters;
   MappingSet result;
@@ -116,7 +108,7 @@ Result<MappingSet> EvalWellDesignedTopDown(const Graph& graph,
     result = EvalNode(graph, *tree, seeds);
   }
   counters.mappings_out = result.size();
-  counters.AttachTo(&span);
+  counters.AttachTo(span.span());
   if (CancellationToken* token = CancellationToken::Current();
       token != nullptr && token->cancelled()) {
     return token->status();

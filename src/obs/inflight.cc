@@ -11,18 +11,6 @@ namespace {
 
 thread_local InflightSlot* tls_current_slot = nullptr;
 
-/// "1.2s" / "345ms" — compact wall-time for the .ps table.
-std::string FormatWall(uint64_t ns) {
-  char buf[32];
-  if (ns >= 1'000'000'000ull) {
-    std::snprintf(buf, sizeof(buf), "%.1fs", static_cast<double>(ns) / 1e9);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%" PRIu64 "ms",
-                  static_cast<uint64_t>(ns / 1'000'000));
-  }
-  return buf;
-}
-
 std::string FormatMb(uint64_t bytes) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f",
@@ -181,7 +169,7 @@ std::string InflightSnapshot::ToText() const {
         line, sizeof(line),
         "%-4zu %-6" PRIu64 " %-6s%s %-8s %10" PRIu64 " %9s %9s %-14s %-10s %s\n",
         q.slot, q.correlation_id, QueryPhaseName(q.phase),
-        q.watchdog_cancelled ? "*" : " ", FormatWall(q.wall_ns).c_str(),
+        q.watchdog_cancelled ? "*" : " ", DurationString(q.wall_ns).c_str(),
         q.live_mappings, FormatMb(q.live_bytes).c_str(),
         FormatMb(q.peak_bytes).c_str(),
         q.fragment.empty() ? "-" : q.fragment.c_str(),

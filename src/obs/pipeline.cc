@@ -8,19 +8,6 @@
 namespace rdfql {
 namespace {
 
-std::string FormatNs(uint64_t ns) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%lluns",
-                  static_cast<unsigned long long>(ns));
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", ns / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fms", ns / 1e6);
-  }
-  return buf;
-}
-
 void AppendShapeJson(const PatternShape& s, std::string* out) {
   char buf[128];
   std::snprintf(buf, sizeof(buf),
@@ -63,7 +50,7 @@ std::string PipelineReport::ToText() const {
   for (const PipelineStage& s : stages_) {
     out += s.name;
     out += "  ";
-    out += FormatNs(s.wall_ns);
+    out += DurationString(s.wall_ns);
     if (!s.ok) {
       out += "  FAILED: " + s.error;
     } else {

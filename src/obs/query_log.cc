@@ -1,6 +1,8 @@
 #include "obs/query_log.h"
 
 #include "obs/json_util.h"
+#include "util/clock.h"
+#include "util/string_util.h"
 
 #include <algorithm>
 #include <cctype>
@@ -12,34 +14,9 @@ namespace {
 using jsonutil::AppendString;
 using jsonutil::AppendUint;
 
-/// Pretty duration for the text report (mirrors the EXPLAIN phase style).
-std::string NsString(double ns) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%.0fns", ns);
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", ns / 1e3);
-  } else if (ns < 10'000'000'000.0) {
-    std::snprintf(buf, sizeof(buf), "%.1fms", ns / 1e6);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.2fs", ns / 1e9);
-  }
-  return buf;
-}
-
-std::string BytesString(uint64_t bytes) {
-  char buf[32];
-  if (bytes < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%lluB",
-                  static_cast<unsigned long long>(bytes));
-  } else if (bytes < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fKB",
-                  static_cast<double>(bytes) / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fMB",
-                  static_cast<double>(bytes) / 1e6);
-  }
-  return buf;
+/// A latency percentile for the text reports.
+std::string PercentileString(const Histogram& h, double q) {
+  return DurationString(static_cast<uint64_t>(h.Percentile(q)));
 }
 
 std::string Truncated(const std::string& s, size_t max) {
@@ -372,9 +349,9 @@ std::string QueryLogAggregator::ToText(size_t top_n) const {
     const FragmentAgg* agg = FindFragment(name);
     std::snprintf(buf, sizeof(buf), "  %-24s %8llu %10s %10s %10s\n",
                   name.c_str(), static_cast<unsigned long long>(agg->count),
-                  NsString(agg->eval_ns->Percentile(0.5)).c_str(),
-                  NsString(agg->eval_ns->Percentile(0.9)).c_str(),
-                  NsString(agg->eval_ns->Percentile(0.99)).c_str());
+                  PercentileString(*agg->eval_ns, 0.5).c_str(),
+                  PercentileString(*agg->eval_ns, 0.9).c_str(),
+                  PercentileString(*agg->eval_ns, 0.99).c_str());
     out += buf;
   }
 
@@ -400,7 +377,7 @@ std::string QueryLogAggregator::ToText(size_t top_n) const {
   out += buf;
   for (const QueryLogRecord* r : by_time) {
     std::snprintf(buf, sizeof(buf), "  %10s  id=%-6llu %-18s %s\n",
-                  NsString(static_cast<double>(r->TotalNs())).c_str(),
+                  DurationString(r->TotalNs()).c_str(),
                   static_cast<unsigned long long>(r->correlation_id),
                   (r->fragment.empty() ? "(unparsed)" : r->fragment).c_str(),
                   Truncated(r->query, 60).c_str());
@@ -517,8 +494,8 @@ std::string QueryLogAggregator::TopHashesText(size_t top_n) const {
     std::snprintf(buf, sizeof(buf), "  %016llx %8llu %10s %10s  %s\n",
                   static_cast<unsigned long long>(hash),
                   static_cast<unsigned long long>(agg->count),
-                  NsString(agg->eval_ns->Percentile(0.5)).c_str(),
-                  NsString(agg->eval_ns->Percentile(0.99)).c_str(),
+                  PercentileString(*agg->eval_ns, 0.5).c_str(),
+                  PercentileString(*agg->eval_ns, 0.99).c_str(),
                   Truncated(agg->example, 60).c_str());
     out += buf;
   }

@@ -80,10 +80,8 @@ struct QueryLogOptions {
   /// Queries whose parse+eval wall time reaches this many milliseconds are
   /// marked slow (and EXPLAIN-captured, see below). 0 disables.
   uint64_t slow_ms = 0;
-  /// Capture the full EXPLAIN ANALYZE text for slow queries. On the plain
-  /// Engine::Query path this re-runs the query once under a tracer (cost:
-  /// roughly 2x for the offending query — bounded, and only for queries
-  /// already past the slow threshold); QueryExplained has the text anyway.
+  /// Capture the EXPLAIN ANALYZE text for slow queries, rendered from the
+  /// per-node record of the run that was measured (no re-run).
   bool explain_slow = true;
   /// Truncation limit for the raw query text stored per record.
   size_t max_query_bytes = 2048;

@@ -7,27 +7,11 @@
 namespace rdfql {
 namespace {
 
-void AppendDuration(uint64_t ns, std::string* out) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%lluns",
-                  static_cast<unsigned long long>(ns));
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", static_cast<double>(ns) / 1e3);
-  } else if (ns < 10'000'000'000ULL) {
-    std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(ns) / 1e6);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fs", static_cast<double>(ns) / 1e9);
-  }
-  out->append(buf);
-}
-
 void RenderTree(const TraceSpan& span, int depth, std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
   *out += span.op;
   if (!span.detail.empty()) *out += " " + span.detail;
-  *out += " t=";
-  AppendDuration(span.duration_ns, out);
+  *out += " t=" + DurationString(span.duration_ns);
   for (const auto& [name, value] : span.counters) {
     *out += " " + name + "=" + std::to_string(value);
   }
@@ -47,12 +31,13 @@ void RenderChromeEvent(const TraceSpan& span, bool* first, std::string* out) {
     *out += " ";
     AppendJsonEscaped(span.detail, out);
   }
-  char buf[96];
+  char buf[112];
   std::snprintf(buf, sizeof(buf),
                 "\",\"cat\":\"eval\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
-                "\"pid\":1,\"tid\":1",
+                "\"pid\":1,\"tid\":%u",
                 static_cast<double>(span.start_ns) / 1e3,
-                static_cast<double>(span.duration_ns) / 1e3);
+                static_cast<double>(span.duration_ns) / 1e3,
+                static_cast<unsigned>(span.tid));
   *out += buf;
   if (!span.counters.empty()) {
     *out += ",\"args\":{";
@@ -74,8 +59,6 @@ void RenderChromeEvent(const TraceSpan& span, bool* first, std::string* out) {
 
 }  // namespace
 
-thread_local OpCounters* ScopedOpCounters::current_ = nullptr;
-
 void TraceSpan::AddCounter(std::string_view name, uint64_t delta) {
   for (auto& [n, v] : counters) {
     if (n == name) {
@@ -93,42 +76,29 @@ uint64_t TraceSpan::GetCounter(std::string_view name) const {
   return 0;
 }
 
-void OpCounters::MergeFrom(const OpCounters& other) {
-  join_probes += other.join_probes;
-  index_probes += other.index_probes;
-  ns_pairs_compared += other.ns_pairs_compared;
-  filter_evals += other.filter_evals;
-  mappings_out += other.mappings_out;
+std::vector<std::pair<std::string, uint64_t>> OpCounters::Named() const {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  auto add = [&out](const char* name, uint64_t value) {
+    if (value != 0) out.emplace_back(name, value);
+  };
+  add("join_probes", join_probes);
+  add("index_probes", index_probes);
+  add("ns_pairs_compared", ns_pairs_compared);
+  add("filter_evals", filter_evals);
+  add("mappings_out", mappings_out);
+  return out;
 }
 
-void OpCounters::AttachTo(ScopedSpan* span) const {
-  span->AddCounter("join_probes", join_probes);
-  span->AddCounter("index_probes", index_probes);
-  span->AddCounter("ns_pairs_compared", ns_pairs_compared);
-  span->AddCounter("filter_evals", filter_evals);
-  span->AddCounter("mappings_out", mappings_out);
-}
-
-uint64_t Tracer::NowNs() const {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
+void OpCounters::AttachTo(TraceSpan* span) const {
+  if (span == nullptr) return;
+  for (const auto& [name, value] : Named()) span->AddCounter(name, value);
 }
 
 TraceSpan* Tracer::StartSpan(std::string op, std::string detail) {
-  auto span = std::make_unique<TraceSpan>();
-  span->op = std::move(op);
-  span->detail = std::move(detail);
-  span->start_ns = NowNs();
-  TraceSpan* raw = span.get();
-  if (open_.empty()) {
-    roots_.push_back(std::move(span));
-  } else {
-    open_.back()->children.push_back(std::move(span));
-  }
-  open_.push_back(raw);
-  return raw;
+  TraceSpan* span = AddSpan(nullptr, std::move(op), std::move(detail),
+                            SteadyNowNs(), 0, 1);
+  open_.push_back(span);
+  return span;
 }
 
 void Tracer::EndSpan(TraceSpan* span) {
@@ -137,9 +107,28 @@ void Tracer::EndSpan(TraceSpan* span) {
   while (!open_.empty()) {
     TraceSpan* top = open_.back();
     open_.pop_back();
-    top->duration_ns = NowNs() - top->start_ns;
+    top->duration_ns = SteadyNowNs() - epoch_ns_ - top->start_ns;
     if (top == span) break;
   }
+}
+
+TraceSpan* Tracer::AddSpan(TraceSpan* parent, std::string op,
+                          std::string detail, uint64_t start_ns,
+                          uint64_t duration_ns, uint32_t tid) {
+  auto span = std::make_unique<TraceSpan>();
+  span->op = std::move(op);
+  span->detail = std::move(detail);
+  span->start_ns = start_ns > epoch_ns_ ? start_ns - epoch_ns_ : 0;
+  span->duration_ns = duration_ns;
+  span->tid = tid;
+  TraceSpan* raw = span.get();
+  if (parent == nullptr && !open_.empty()) parent = open_.back();
+  if (parent == nullptr) {
+    roots_.push_back(std::move(span));
+  } else {
+    parent->children.push_back(std::move(span));
+  }
+  return raw;
 }
 
 std::string Tracer::ToTreeString() const {

@@ -1,7 +1,6 @@
 #ifndef RDFQL_OBS_TRACER_H_
 #define RDFQL_OBS_TRACER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -9,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/clock.h"
 #include "util/profile_state.h"
 
 namespace rdfql {
@@ -18,12 +18,13 @@ namespace rdfql {
 /// attached work counters (`join_probes`, `ns_pairs_compared`,
 /// `mappings_out`, ...) and child spans. Spans form the dynamic call tree
 /// of an evaluation, so for the bottom-up evaluator the span tree has the
-/// same shape as the pattern tree.
+/// shape of its EvalRecord.
 struct TraceSpan {
   std::string op;
   std::string detail;
   uint64_t start_ns = 0;     // relative to the tracer's epoch
   uint64_t duration_ns = 0;  // 0 while the span is open
+  uint32_t tid = 1;  // Chrome-trace track; pool threads get 2, 3, ...
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::unique_ptr<TraceSpan>> children;
 
@@ -33,9 +34,8 @@ struct TraceSpan {
   uint64_t GetCounter(std::string_view name) const;
 };
 
-/// Collects a tree of spans for one evaluation. Not thread-safe — a tracer
-/// belongs to one evaluation on one thread (the engine hands out one per
-/// query); cross-thread aggregation goes through MetricsRegistry instead.
+/// Collects a tree of spans. Not thread-safe: the bottom-up evaluator adds
+/// its spans after the run, on the calling thread (AddSpan).
 ///
 /// Exports:
 ///  - ToTreeString(): indented one-line-per-span tree for terminals;
@@ -43,7 +43,7 @@ struct TraceSpan {
 ///    in about:tracing and https://ui.perfetto.dev.
 class Tracer {
  public:
-  Tracer() : epoch_(std::chrono::steady_clock::now()) {}
+  Tracer() : epoch_ns_(SteadyNowNs()) {}
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
@@ -54,6 +54,12 @@ class Tracer {
   /// Closes `span`, which must be the innermost open span.
   void EndSpan(TraceSpan* span);
 
+  /// Records a finished span that started at `start_ns` on the
+  /// SteadyNowNs() clock, as a child of `parent` — or, when null, of the
+  /// innermost open span (or as a new root). Returns the new span.
+  TraceSpan* AddSpan(TraceSpan* parent, std::string op, std::string detail,
+                     uint64_t start_ns, uint64_t duration_ns, uint32_t tid);
+
   /// First root span (null before any span is recorded).
   const TraceSpan* root() const {
     return roots_.empty() ? nullptr : roots_.front().get();
@@ -62,16 +68,13 @@ class Tracer {
     return roots_;
   }
 
-  /// Nanoseconds since this tracer was constructed.
-  uint64_t NowNs() const;
-
   std::string ToTreeString() const;
   std::string ToChromeTraceJson() const;
 
  private:
   std::vector<std::unique_ptr<TraceSpan>> roots_;
   std::vector<TraceSpan*> open_;
-  std::chrono::steady_clock::time_point epoch_;
+  uint64_t epoch_ns_;  // SteadyNowNs() at construction
 };
 
 /// RAII guard for a span. A null tracer makes every operation a no-op, so
@@ -112,9 +115,9 @@ class ScopedSpan {
 
 /// Plain per-operator work counters, accumulated by the algebra kernels
 /// (hash/nested-loop join, NS subsumption removal, graph-index probes)
-/// into whatever sink the evaluator installed via ScopedOpCounters. When
-/// no sink is installed — the uninstrumented hot path — the kernels pay
-/// one thread-local pointer test per call, nothing per element.
+/// into whatever sink the evaluator installed via ScopedOpCounters. The
+/// kernels count on the thread that called them, after any fork joins,
+/// and pay one thread-local pointer test per call, nothing per element.
 struct OpCounters {
   uint64_t join_probes = 0;        // candidate pairs tested for ⋈ / ∖
   uint64_t index_probes = 0;       // graph-index Match calls with bindings
@@ -122,20 +125,18 @@ struct OpCounters {
   uint64_t filter_evals = 0;       // FILTER condition evaluations
   uint64_t mappings_out = 0;       // mappings produced by the operator
 
-  /// Copies the non-zero counters onto a span.
-  void AttachTo(ScopedSpan* span) const;
+  /// The non-zero counters as (name, value) pairs, in declaration order:
+  /// the form spans and EXPLAIN plan nodes carry.
+  std::vector<std::pair<std::string, uint64_t>> Named() const;
 
-  /// Accumulates another sink's counts into this one. Used by the parallel
-  /// evaluator: each worker-side subtree gets its own thread-local sink,
-  /// merged into the calling thread's sink after the fork joins — so the
-  /// hot path never shares a counter between threads.
-  void MergeFrom(const OpCounters& other);
+  /// Adds the non-zero counters to `span` (no-op when null).
+  void AttachTo(TraceSpan* span) const;
 };
 
 /// Installs `sink` as the thread's current counter sink for the enclosing
 /// scope, restoring the previous sink on destruction (sinks nest: the
-/// evaluator installs a fresh sink per operator node, so each node sees
-/// only its own work, not its children's).
+/// evaluator installs each node's record slot, so each node sees only its
+/// own work, not its children's).
 class ScopedOpCounters {
  public:
   explicit ScopedOpCounters(OpCounters* sink) : prev_(current_) {
@@ -150,7 +151,7 @@ class ScopedOpCounters {
 
  private:
   OpCounters* prev_;
-  static thread_local OpCounters* current_;
+  static inline thread_local OpCounters* current_ = nullptr;
 };
 
 }  // namespace rdfql

@@ -3,6 +3,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <string>
+
+#include "util/string_util.h"
 
 namespace rdfql {
 
@@ -21,6 +24,13 @@ inline uint64_t UnixNowMs() {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
+}
+
+/// A duration as "850ns", "12.3us", "4.5ms" or "12.0s": the one formatter
+/// behind EXPLAIN, trace trees, pipeline reports, the query-log text
+/// report, the in-flight `.ps` table and rdfql_top.
+inline std::string DurationString(uint64_t ns) {
+  return ScaledString(ns, {"ns", "us", "ms", "s"});
 }
 
 }  // namespace rdfql

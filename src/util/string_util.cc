@@ -1,5 +1,7 @@
 #include "util/string_util.h"
 
+#include <cstdio>
+
 namespace rdfql {
 
 std::vector<std::string> SplitNonEmpty(std::string_view text, char sep) {
@@ -43,6 +45,26 @@ std::string Join(const std::vector<std::string>& pieces,
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+std::string ScaledString(uint64_t value,
+                         std::initializer_list<const char*> units) {
+  const char* const* unit = units.begin();
+  uint64_t divisor = 1;
+  while (unit + 1 != units.end() && value / divisor >= 10'000) {
+    divisor *= 1000;
+    ++unit;
+  }
+  char buf[32];
+  if (divisor == 1) {
+    std::snprintf(buf, sizeof(buf), "%llu%s",
+                  static_cast<unsigned long long>(value), *unit);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.1f%s",
+                  static_cast<double>(value) / static_cast<double>(divisor),
+                  *unit);
+  }
+  return buf;
 }
 
 }  // namespace rdfql

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "eval/evaluator.h"
 #include "optimize/optimizer.h"
 #include "parser/parser.h"
@@ -81,6 +82,69 @@ TEST_F(ExplainTest, OptimizerReducesIntermediateWork) {
   Explanation after = ExplainEval(g, optimized, dict_);
   EXPECT_EQ(before.result, after.result);
   EXPECT_LT(after.TotalIntermediate(), before.TotalIntermediate());
+}
+
+uint64_t PoolTasks(Engine* engine) {
+  return engine->MetricsSnapshot().counters["pool.tasks_total"];
+}
+
+// A UNION spine runs as one n-ary node, and EXPLAIN shows it that way.
+// The spine is evaluated iteratively in every mode: with metrics on (the
+// mode every served query runs in) a 20,000-disjunct chain must not
+// recurse once per UNION.
+TEST_F(ExplainTest, DeepUnionSpineRunsInEveryMode) {
+  constexpr int kDisjuncts = 20'000;
+  std::string text = "(?x p ?y)";
+  for (int i = 1; i < kDisjuncts; ++i) text += " UNION (?x p ?y)";
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Engine engine;
+    ASSERT_TRUE(engine.LoadGraphText("g", "a p b .").ok());
+    engine.EnableMetrics(true);
+    engine.SetDefaultThreads(threads);
+    Result<MappingSet> rows = engine.Query("g", text);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->size(), 1u);
+    RegistrySnapshot snap = engine.MetricsSnapshot();
+    EXPECT_EQ(snap.counters["eval.nodes"], kDisjuncts + 1u);
+    EXPECT_EQ(snap.counters["eval.index_probes"],
+              static_cast<uint64_t>(kDisjuncts));
+  }
+  Engine engine;
+  ASSERT_TRUE(engine.LoadGraphText("g", "a p b .").ok());
+  Result<QueryExplanation> explained = engine.QueryExplained("g", text);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_EQ(explained->result().size(), 1u);
+  ASSERT_NE(explained->explanation.plan, nullptr);
+  EXPECT_EQ(explained->explanation.plan->label, "UNION");
+  EXPECT_EQ(explained->explanation.plan->children.size(),
+            static_cast<size_t>(kDisjuncts));
+}
+
+// EXPLAIN reports the run users get: at threads=4 it forks exactly the
+// pool tasks a plain Query forks, subtrees included.
+TEST_F(ExplainTest, EngineExplainForksLikeQuery) {
+  const std::string text =
+      "((?x p ?y) AND (?y p ?z)) UNION ((?x p ?y) AND (?y q ?z))";
+  Engine engine;
+  ASSERT_TRUE(
+      engine.LoadGraphText("g", "a p b .\nb p c .\nb q d .\nc q e .").ok());
+  engine.SetDefaultThreads(4);
+  uint64_t before = PoolTasks(&engine);
+  Result<MappingSet> rows = engine.Query("g", text);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  uint64_t query_tasks = PoolTasks(&engine) - before;
+  before = PoolTasks(&engine);
+  Result<QueryExplanation> explained = engine.QueryExplained("g", text);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  uint64_t explain_tasks = PoolTasks(&engine) - before;
+  EXPECT_GT(query_tasks, 0u);
+  EXPECT_EQ(explain_tasks, query_tasks);
+  EXPECT_EQ(explained->result(), *rows);
+  ASSERT_NE(explained->explanation.plan, nullptr);
+  EXPECT_EQ(explained->explanation.plan->cardinality, rows->size());
+  ASSERT_EQ(explained->explanation.plan->children.size(), 2u);
+  EXPECT_EQ(explained->explanation.plan->children[0]->label, "AND");
 }
 
 TEST_F(ExplainTest, DotExportShapesTheFigure) {

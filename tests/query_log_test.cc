@@ -381,6 +381,44 @@ TEST(EngineQueryLogTest, SlowQueryCapturesExplainAnalyze) {
   engine.SetQueryLog(nullptr);
 }
 
+// The slow-query plan is rendered from the run that was just measured:
+// at threads=4 a captured query forks exactly the pool tasks of the same
+// query with no log attached, so nothing was evaluated a second time.
+TEST(EngineQueryLogTest, SlowCaptureRendersTheRunWithoutReEvaluating) {
+  // A cross product (slow) joined back on shared variables: the outer hash
+  // join probes 40,000 rows, so its kernel forks on the pool too.
+  const char* query = "((?a p ?b) AND (?c p ?d)) AND (?a p ?b)";
+  Engine engine;
+  ASSERT_TRUE(engine.LoadGraphText("g", EdgeGraph(200)).ok());
+  engine.SetDefaultThreads(4);
+  auto pool_tasks = [&engine] {
+    return engine.MetricsSnapshot().counters["pool.tasks_total"];
+  };
+  uint64_t before = pool_tasks();
+  Result<MappingSet> plain = engine.Query("g", query);
+  ASSERT_TRUE(plain.ok());
+  uint64_t plain_tasks = pool_tasks() - before;
+
+  QueryLogOptions options;
+  options.slow_ms = 1;  // the 200x200 cross product takes well over 1ms
+  QueryLog log(options);
+  engine.SetQueryLog(&log);
+  before = pool_tasks();
+  Result<MappingSet> logged = engine.Query("g", query);
+  uint64_t logged_tasks = pool_tasks() - before;
+  engine.SetQueryLog(nullptr);
+  ASSERT_TRUE(logged.ok());
+  EXPECT_EQ(logged->size(), plain->size());
+  std::vector<QueryLogRecord> snap = log.Snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_TRUE(snap[0].slow);
+  EXPECT_EQ(snap[0].threads, 4);
+  EXPECT_NE(snap[0].explain.find("AND [40000]"), std::string::npos)
+      << snap[0].explain;
+  EXPECT_GT(plain_tasks, 0u);
+  EXPECT_EQ(logged_tasks, plain_tasks);
+}
+
 TEST(EngineQueryLogTest, SlowExplainCaptureCanBeDisabled) {
   Engine engine;
   ASSERT_TRUE(engine.LoadGraphText("g", EdgeGraph(300)).ok());

@@ -108,6 +108,36 @@ TEST_F(TracerTest, SpanTreeMirrorsPatternTree) {
   EXPECT_GT(root->GetCounter("filter_evals"), 0u);
 }
 
+// Spans are exported from the per-node record after the run, so a
+// parallel evaluation still yields one span tree: the UNION spine as one
+// n-ary span, every node that ran under its parent, each on a track.
+TEST_F(TracerTest, ParallelRunExportsOneSpanTree) {
+  Graph g = Load("a p b .\nb p c .\nb q d .");
+  Tracer tracer;
+  EvalOptions options;
+  options.threads = 4;
+  options.tracer = &tracer;
+  options.trace_dict = &dict_;
+  MappingSet rows = EvalPattern(
+      g, Parse("((?x p ?y) AND (?y p ?z)) UNION (?x q ?y) UNION (?x p ?y)"),
+      options);
+  EXPECT_EQ(rows, EvalPattern(g, Parse("((?x p ?y) AND (?y p ?z)) UNION "
+                                       "(?x q ?y) UNION (?x p ?y)")));
+  ASSERT_EQ(tracer.roots().size(), 1u);
+  const TraceSpan* root = tracer.root();
+  EXPECT_EQ(root->op, "UNION");
+  EXPECT_EQ(root->tid, 1u);
+  EXPECT_EQ(root->GetCounter("mappings_out"), rows.size());
+  ASSERT_EQ(root->children.size(), 3u);
+  EXPECT_EQ(root->children[0]->op, "AND");
+  ASSERT_EQ(root->children[0]->children.size(), 2u);
+  EXPECT_EQ(root->children[1]->detail, "(?x q ?y)");
+  for (const auto& child : root->children) {
+    EXPECT_GE(child->tid, 1u);
+    EXPECT_GE(child->start_ns, root->start_ns);
+  }
+}
+
 TEST_F(TracerTest, TreeStringAndChromeJson) {
   Graph g = Load("a p b .\nb q c .");
   Tracer tracer;

@@ -30,22 +30,9 @@
 #include <unistd.h>
 
 #include "obs/telemetry.h"
+#include "util/clock.h"
 
 namespace {
-
-std::string PhaseString(double ns) {
-  char buf[32];
-  if (ns < 10'000) {
-    std::snprintf(buf, sizeof(buf), "%.0fns", ns);
-  } else if (ns < 10'000'000) {
-    std::snprintf(buf, sizeof(buf), "%.1fus", ns / 1e3);
-  } else if (ns < 10'000'000'000.0) {
-    std::snprintf(buf, sizeof(buf), "%.1fms", ns / 1e6);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.1fs", ns / 1e9);
-  }
-  return buf;
-}
 
 std::string TimeString(uint64_t unix_ms) {
   std::time_t secs = static_cast<std::time_t>(unix_ms / 1000);
@@ -96,10 +83,10 @@ std::string RenderFrame(const rdfql::TelemetrySnapshot& snap,
                 snap.rejections_per_s, snap.watchdog_cancelled_total,
                 static_cast<long long>(snap.queries_active));
   out += line;
-  std::snprintf(line, sizeof(line), "eval latency (windowed): p50=%s p99=%s\n",
-                PhaseString(snap.eval_p50_ns).c_str(),
-                PhaseString(snap.eval_p99_ns).c_str());
-  out += line;
+  out += "eval latency (windowed): p50=" +
+         rdfql::DurationString(static_cast<uint64_t>(snap.eval_p50_ns)) +
+         " p99=" +
+         rdfql::DurationString(static_cast<uint64_t>(snap.eval_p99_ns)) + "\n";
   if (!snap.windows.empty()) {
     out += "qps [" + Sparkline(snap.windows) + "]\n";
   }
