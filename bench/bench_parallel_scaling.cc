@@ -128,6 +128,80 @@ void BM_ParallelHashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelHashJoin)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
+// Skewed operands for the keyed difference and left-outer join: 40 rows
+// {?s→sᵢ} against 5,000 rows {?s→tⱼ, ?p→pⱼ} with four matches. The first
+// argument picks the side that is large (0: Ω2, 1: Ω1), the second is the
+// thread count. join_probes reports the candidate pairs the kernel tested;
+// a scan of Ω2 per Ω1 row would show 200,000 here.
+struct SkewPair {
+  MappingSet left;
+  MappingSet right;
+};
+
+SkewPair MakeSkewPair(bool large_left) {
+  MappingSet few;
+  MappingSet many;
+  for (TermId i = 0; i < 40; ++i) {
+    Mapping m;
+    m.Set(0, 1000 + i);
+    few.Add(m);
+  }
+  for (TermId j = 0; j < 5000; ++j) {
+    Mapping m;
+    m.Set(0, j < 4 ? 1000 + 10 * j : 100000 + j);
+    m.Set(1, 200000 + j);
+    many.Add(m);
+  }
+  if (large_left) return {std::move(many), std::move(few)};
+  return {std::move(few), std::move(many)};
+}
+
+template <typename Kernel>
+void RunSkewKernel(benchmark::State& state, Kernel kernel) {
+  const SkewPair pair = MakeSkewPair(state.range(0) != 0);
+  const int threads = static_cast<int>(state.range(1));
+  std::unique_ptr<ThreadPool> pool = MakePool(threads);
+  OpCounters serial;
+  MappingSet want;
+  {
+    ScopedOpCounters install(&serial);
+    want = kernel(pair.left, pair.right, nullptr);
+  }
+  OpCounters timed;
+  {
+    ScopedOpCounters install(&timed);
+    RDFQL_CHECK(kernel(pair.left, pair.right, pool.get()).mappings() ==
+                want.mappings());
+  }
+  RDFQL_CHECK(timed.join_probes == serial.join_probes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel(pair.left, pair.right, pool.get()));
+  }
+  state.counters["threads"] = static_cast<double>(threads);
+  state.counters["join_probes"] = static_cast<double>(serial.join_probes);
+  state.counters["rows_out"] = static_cast<double>(want.size());
+}
+
+void BM_MinusSkew(benchmark::State& state) {
+  RunSkewKernel(state, [](const MappingSet& a, const MappingSet& b,
+                          ThreadPool* pool) {
+    return MappingSet::Minus(a, b, pool);
+  });
+}
+BENCHMARK(BM_MinusSkew)
+    ->ArgNames({"large_left", "threads"})
+    ->ArgsProduct({{0, 1}, {1, 2, 4, 8}});
+
+void BM_OptSkew(benchmark::State& state) {
+  RunSkewKernel(state, [](const MappingSet& a, const MappingSet& b,
+                          ThreadPool* pool) {
+    return MappingSet::LeftOuterJoin(a, b, pool);
+  });
+}
+BENCHMARK(BM_OptSkew)
+    ->ArgNames({"large_left", "threads"})
+    ->ArgsProduct({{0, 1}, {1, 2, 4, 8}});
+
 }  // namespace
 }  // namespace rdfql
 

@@ -56,7 +56,7 @@ endif()
 # `.ps` mid-flight: one registered query, in the eval phase, with the
 # live-figure columns present and the right fragment attributed.
 foreach(needle
-        "in-flight: 1" "LIVE-MB" " eval " "SPARQL\\[A\\]"
+        "in-flight: 1" "LIVE-MEM" " eval " "SPARQL\\[A\\]"
         "watchdog: query exceeded max_wall_ms=500")
   if(NOT out MATCHES "${needle}")
     message(FATAL_ERROR "shell output missing `${needle}`:\n${out}")

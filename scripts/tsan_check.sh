@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Race-checks the parallel evaluator under ThreadSanitizer: configures a
 # separate build tree with -DRDFQL_SANITIZE=thread and runs the tests that
-# exercise the thread pool, the partitioned join/minus kernels, parallel NS
+# exercise the thread pool, the partitioned join/minus/left-outer-join
+# kernels (and their serial-vs-pool differential test), parallel NS
 # pruning, the concurrent subtree evaluation, the sharded query cache
 # (hit/miss/eviction races, epoch invalidation), the live-monitoring
 # surface (in-flight registry, telemetry sampler, watchdog cancellation —
@@ -19,8 +20,8 @@ cd "$(dirname "$0")/.."
 
 cmake -B build-tsan -DRDFQL_SANITIZE=thread >/dev/null
 cmake --build build-tsan --target \
-  thread_pool_test parallel_sweeps_test mapping_set_test ns_test \
-  evaluator_test engine_test inflight_test telemetry_test \
+  thread_pool_test parallel_sweeps_test mapping_set_test keyed_kernel_test \
+  ns_test evaluator_test engine_test inflight_test telemetry_test \
   query_cache_test profiler_test history_test alerts_test \
   tracer_test explain_test query_log_test || exit 1
 
@@ -28,7 +29,7 @@ cmake --build build-tsan --target \
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(ThreadPoolTest|AllStrategies/ParallelSweep|MappingSetTest|NsTest|EvaluatorTest|EngineTest|InflightRegistryTest|InflightScopeTest|EngineInflightTest|Threads/EngineInflightConcurrencyTest|WatchdogPolicyTest|TelemetryEngineTest|QueryCacheTest|EngineCacheTest|Threads/CacheRaceTest|ProfileSlotTest|ProfileRegistryTest|WaitStatsTest|TimedLockTest|PoolProfilingTest|ProfilerTest|EngineProfilingTest|Threads/ProfiledIdenticalTest|Threads/ProfilerRaceTest|HistorySampleTest|MetricsHistoryTest|AlertsTest|AlertStateMachineTest|AlertEngineIntegrationTest|Threads/AlertsIdenticalTest|TracerTest|ExplainTest|QueryLogTest|EngineQueryLogTest)' \
+  -R '^(ThreadPoolTest|AllStrategies/ParallelSweep|MappingSetTest|KeyedKernelTest|NsTest|EvaluatorTest|EngineTest|InflightRegistryTest|InflightScopeTest|EngineInflightTest|Threads/EngineInflightConcurrencyTest|WatchdogPolicyTest|TelemetryEngineTest|QueryCacheTest|EngineCacheTest|Threads/CacheRaceTest|ProfileSlotTest|ProfileRegistryTest|WaitStatsTest|TimedLockTest|PoolProfilingTest|ProfilerTest|EngineProfilingTest|Threads/ProfiledIdenticalTest|Threads/ProfilerRaceTest|HistorySampleTest|MetricsHistoryTest|AlertsTest|AlertStateMachineTest|AlertEngineIntegrationTest|Threads/AlertsIdenticalTest|TracerTest|ExplainTest|QueryLogTest|EngineQueryLogTest)' \
   "$@"
 status=$?
 if [ $status -eq 0 ]; then

@@ -63,7 +63,7 @@ class Mapping {
   Mapping RestrictTo(const std::vector<VarId>& vars) const;
 
   /// Fixed per-mapping overhead the resource accountant charges on top of
-  /// the binding payload (vector slot + dedup-set node bookkeeping).
+  /// the binding payload (vector slot + dedup-index bookkeeping).
   static constexpr size_t kApproxFixedBytes = 64;
 
   /// Approximate footprint as the accountant counts it. Deliberately a

@@ -1,8 +1,8 @@
 #ifndef RDFQL_ALGEBRA_MAPPING_SET_H_
 #define RDFQL_ALGEBRA_MAPPING_SET_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "algebra/mapping.h"
@@ -15,7 +15,8 @@ class ThreadPool;
 /// A set of mappings Ω, the result type of SPARQL graph-pattern evaluation.
 ///
 /// Set semantics with deterministic iteration order (insertion order) so
-/// results print stably. Implements the four algebra operators of
+/// results print stably. Each mapping is stored once; duplicates are found
+/// through a flat open-addressing index of row numbers, not a second copy. Implements the four algebra operators of
 /// Section 2.1 — join ⋈, union ∪, difference ∖ and left-outer join ⟕ —
 /// and the subsumption preorder Ω1 ⊑ Ω2 of Section 3.1.
 class MappingSet {
@@ -36,8 +37,9 @@ class MappingSet {
 
   /// Adds µ; returns true if it was new.
   bool Add(const Mapping& m);
+  bool Add(Mapping&& m);
 
-  bool Contains(const Mapping& m) const { return set_.count(m) > 0; }
+  bool Contains(const Mapping& m) const;
 
   size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
@@ -49,15 +51,20 @@ class MappingSet {
 
   /// Ω1 ⋈ Ω2 = { µ1 ∪ µ2 | µ1 ∈ Ω1, µ2 ∈ Ω2, µ1 ∼ µ2 }.
   ///
-  /// Uses a hash partition on the variables that are bound in *every*
-  /// mapping of each side (the certain variables); falls back to pairwise
-  /// checks within buckets, so it is correct for heterogeneous domains.
+  /// Join, Minus and LeftOuterJoin share one keyed kernel. It builds a
+  /// flat hash table on the smaller side, keyed on the variables bound in
+  /// *every* mapping of both sides (the certain shared variables), and
+  /// gives each candidate from the table the full compatibility check, so
+  /// it is correct for heterogeneous domains. With no such variable (for
+  /// instance when µ∅ is on either side) the table is one bucket and the
+  /// probe is the nested loop.
   ///
   /// With a non-null `pool` the probe side is split into contiguous chunks
   /// evaluated across the pool's threads; chunk outputs are concatenated in
   /// chunk order before the deduplicating insert, so the result — content
-  /// *and* iteration order — is bit-for-bit the serial result regardless of
-  /// scheduling. A null pool (the default) is the unchanged serial path.
+  /// *and* iteration order — and the join_probes count are the serial
+  /// ones regardless of scheduling. A null pool (the default) is the
+  /// serial path.
   static MappingSet Join(const MappingSet& a, const MappingSet& b,
                          ThreadPool* pool = nullptr);
 
@@ -67,12 +74,17 @@ class MappingSet {
   /// Ω1 ∪ Ω2.
   static MappingSet UnionSets(const MappingSet& a, const MappingSet& b);
 
-  /// Ω1 ∖ Ω2 = { µ ∈ Ω1 | ∀ µ' ∈ Ω2 : µ ≁ µ' }. Same parallel contract as
-  /// Join: Ω1 is chunked, per-chunk survivors concatenate in chunk order.
+  /// Ω1 ∖ Ω2 = { µ ∈ Ω1 | ∀ µ' ∈ Ω2 : µ ≁ µ' }, as a hash anti-join.
+  /// Built on Ω2, each Ω1 row stops at its first compatible candidate;
+  /// built on Ω1 (the smaller side), each Ω2 row marks the Ω1 rows it is
+  /// compatible with. Survivors come out in Ω1 order. Same parallel
+  /// contract as Join; per-chunk bitmaps are OR'ed in chunk order.
   static MappingSet Minus(const MappingSet& a, const MappingSet& b,
                           ThreadPool* pool = nullptr);
 
-  /// Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2).
+  /// Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2), in one pass over one table: the
+  /// joined rows first (as Join orders them), then the Ω1 rows with no
+  /// compatible partner, in Ω1 order. Same parallel contract as Join.
   static MappingSet LeftOuterJoin(const MappingSet& a, const MappingSet& b,
                                   ThreadPool* pool = nullptr);
 
@@ -119,8 +131,26 @@ class MappingSet {
     acct_bytes_ += bytes;
   }
 
+  /// One slot of the dedup index: a row's 32-bit hash and its position in
+  /// items_ plus one (0 marks an empty slot).
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t row = 0;
+  };
+
+  /// Position of the slot holding a row equal to µ, or of the empty slot
+  /// where µ would go. Requires a non-empty index.
+  size_t FindSlot(const Mapping& m, uint32_t hash) const;
+
+  /// Doubles the index (linear probing, at most half full), re-placing
+  /// rows by their stored hashes.
+  void GrowIndex();
+
+  template <typename M>
+  bool AddImpl(M&& m);
+
   std::vector<Mapping> items_;
-  std::unordered_set<Mapping, MappingHash> set_;
+  std::vector<Slot> index_;
 
   ResourceAccountant* acct_ = nullptr;
   uint64_t acct_epoch_ = 0;

@@ -19,54 +19,63 @@ std::vector<VarId> SortedColumns(const MappingSet& result,
   return columns;
 }
 
-std::vector<Mapping> SortedRows(const MappingSet& result) {
-  std::vector<Mapping> rows = result.mappings();
-  std::sort(rows.begin(), rows.end());
+// The rows in sorted order, as pointers into `result` (no row is copied).
+std::vector<const Mapping*> SortedRows(const MappingSet& result) {
+  std::vector<const Mapping*> rows;
+  rows.reserve(result.size());
+  for (const Mapping& m : result) rows.push_back(&m);
+  std::sort(rows.begin(), rows.end(),
+            [](const Mapping* a, const Mapping* b) { return *a < *b; });
   return rows;
 }
 
-std::string CsvEscape(const std::string& value) {
-  bool needs_quotes = value.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quotes) return value;
-  std::string out = "\"";
-  for (char c : value) {
-    if (c == '"') out += '"';
-    out += c;
+void AppendCsv(const std::string& value, std::string* out) {
+  if (value.find_first_of(",\"\n\r") == std::string::npos) {
+    *out += value;
+    return;
   }
-  out += '"';
-  return out;
+  out->push_back('"');
+  for (char c : value) {
+    if (c == '"') out->push_back('"');
+    out->push_back(c);
+  }
+  out->push_back('"');
 }
 
-std::string JsonEscape(const std::string& value) {
-  std::string out;
-  for (char c : value) {
+// Appends `value` JSON-escaped; runs that need no escape are copied whole.
+void AppendJsonEscaped(const std::string& value, std::string* out) {
+  size_t run = 0;
+  for (size_t i = 0; i < value.size(); ++i) {
+    const char c = value[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
+    }
+    out->append(value, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        *out += buf;
+      }
     }
   }
-  return out;
+  out->append(value, run, std::string::npos);
 }
 
 }  // namespace
@@ -76,14 +85,14 @@ std::string WriteCsv(const MappingSet& result, const Dictionary& dict) {
   std::string out;
   for (size_t c = 0; c < columns.size(); ++c) {
     if (c > 0) out += ',';
-    out += CsvEscape(dict.VarName(columns[c]));
+    AppendCsv(dict.VarName(columns[c]), &out);
   }
   out += '\n';
-  for (const Mapping& m : SortedRows(result)) {
+  for (const Mapping* m : SortedRows(result)) {
     for (size_t c = 0; c < columns.size(); ++c) {
       if (c > 0) out += ',';
-      std::optional<TermId> t = m.Get(columns[c]);
-      if (t.has_value()) out += CsvEscape(dict.IriName(*t));
+      std::optional<TermId> t = m->Get(columns[c]);
+      if (t.has_value()) AppendCsv(dict.IriName(*t), &out);
     }
     out += '\n';
   }
@@ -94,23 +103,36 @@ std::string WriteResultsJson(const MappingSet& result,
                              const Dictionary& dict) {
   std::vector<VarId> columns = SortedColumns(result, dict);
   std::string out = "{\"head\":{\"vars\":[";
+  // Each cell opens with `"name":{"type":"iri","value":"`; escape every
+  // column's name once, indexed by VarId so cells find it by a merge walk.
+  std::vector<std::pair<VarId, std::string>> cell_open;
+  cell_open.reserve(columns.size());
   for (size_t c = 0; c < columns.size(); ++c) {
     if (c > 0) out += ',';
-    out += '"' + JsonEscape(dict.VarName(columns[c])) + '"';
+    std::string name;
+    AppendJsonEscaped(dict.VarName(columns[c]), &name);
+    out += '"';
+    out += name;
+    out += '"';
+    cell_open.emplace_back(
+        columns[c], '"' + name + "\":{\"type\":\"iri\",\"value\":\"");
   }
+  std::sort(cell_open.begin(), cell_open.end());
   out += "]},\"results\":{\"bindings\":[";
   bool first_row = true;
-  for (const Mapping& m : SortedRows(result)) {
+  for (const Mapping* m : SortedRows(result)) {
     if (!first_row) out += ',';
     first_row = false;
     out += '{';
     bool first_cell = true;
-    for (const auto& [v, t] : m.bindings()) {
+    size_t k = 0;
+    for (const auto& [v, t] : m->bindings()) {
       if (!first_cell) out += ',';
       first_cell = false;
-      out += '"' + JsonEscape(dict.VarName(v)) +
-             "\":{\"type\":\"iri\",\"value\":\"" +
-             JsonEscape(dict.IriName(t)) + "\"}";
+      while (cell_open[k].first < v) ++k;
+      out += cell_open[k].second;
+      AppendJsonEscaped(dict.IriName(t), &out);
+      out += "\"}";
     }
     out += '}';
   }

@@ -380,15 +380,17 @@ MappingSet Evaluator::EvalOperator(EvalRecord* rec, uint32_t id) const {
         l = EvalNode(rec, id + 1);
         r = EvalNode(rec, rec->nodes[id + 1].end);
       }
-      MappingSet joined;
       if (options_.join == EvalOptions::Join::kNestedLoop) {
+        // The reference ablation spells ⟕ out: the pairwise join, then the
+        // Ω1 rows the difference keeps appended in Ω1 order.
         ProfileFrame join_frame(profiled_ ? "JoinNested" : nullptr);
-        joined = MappingSet::JoinNestedLoop(l, r);
-      } else {
-        ProfileFrame join_frame(profiled_ ? "JoinHash" : nullptr);
-        joined = MappingSet::Join(l, r, pool_);
+        MappingSet out = MappingSet::JoinNestedLoop(l, r);
+        for (const Mapping& m : MappingSet::Minus(l, r, pool_)) out.Add(m);
+        return out;
       }
-      return MappingSet::UnionSets(joined, MappingSet::Minus(l, r, pool_));
+      // One keyed pass: the joined rows, then the unmatched Ω1 rows.
+      ProfileFrame join_frame(profiled_ ? "JoinHash" : nullptr);
+      return MappingSet::LeftOuterJoin(l, r, pool_);
     }
     case PatternKind::kMinus: {
       MappingSet l, r;

@@ -5,18 +5,12 @@
 #include <cstdio>
 
 #include "util/clock.h"
+#include "util/string_util.h"
 
 namespace rdfql {
 namespace {
 
 thread_local InflightSlot* tls_current_slot = nullptr;
-
-std::string FormatMb(uint64_t bytes) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f",
-                static_cast<double>(bytes) / (1024.0 * 1024.0));
-  return buf;
-}
 
 /// Replaces control characters so a multi-line query stays on one row.
 std::string Flatten(std::string_view text, size_t max_bytes) {
@@ -161,8 +155,8 @@ std::string InflightSnapshot::ToText() const {
   out += line;
   if (queries.empty()) return out;
   std::snprintf(line, sizeof(line), "%-4s %-6s %-6s %-8s %10s %9s %9s %-14s %-10s %s\n",
-                "SLOT", "ID", "PHASE", "WALL", "LIVE-MAP", "LIVE-MB",
-                "PEAK-MB", "FRAGMENT", "GRAPH", "QUERY");
+                "SLOT", "ID", "PHASE", "WALL", "LIVE-MAP", "LIVE-MEM",
+                "PEAK-MEM", "FRAGMENT", "GRAPH", "QUERY");
   out += line;
   for (const InflightQueryInfo& q : queries) {
     std::snprintf(
@@ -170,8 +164,8 @@ std::string InflightSnapshot::ToText() const {
         "%-4zu %-6" PRIu64 " %-6s%s %-8s %10" PRIu64 " %9s %9s %-14s %-10s %s\n",
         q.slot, q.correlation_id, QueryPhaseName(q.phase),
         q.watchdog_cancelled ? "*" : " ", DurationString(q.wall_ns).c_str(),
-        q.live_mappings, FormatMb(q.live_bytes).c_str(),
-        FormatMb(q.peak_bytes).c_str(),
+        q.live_mappings, BytesString(q.live_bytes).c_str(),
+        BytesString(q.peak_bytes).c_str(),
         q.fragment.empty() ? "-" : q.fragment.c_str(),
         q.graph.empty() ? "-" : q.graph.c_str(),
         Flatten(q.query, 120).c_str());

@@ -352,6 +352,12 @@ TelemetrySampler::TelemetrySampler(MetricsRegistry* metrics,
       options_(std::move(options)) {
   if (options_.window_count == 0) options_.window_count = 1;
   if (options_.interval_ms > 0) {
+    // The history's first record is its baseline. Taking it now rather
+    // than one interval later keeps work finished before the first tick
+    // (a short query right after startup) inside the windows.
+    history_->Record(metrics_ != nullptr ? metrics_->Snapshot()
+                                         : RegistrySnapshot(),
+                     UnixNowMs());
     thread_ = std::thread([this] { Loop(); });
   }
 }

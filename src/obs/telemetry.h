@@ -133,8 +133,9 @@ class TelemetrySampler {
   /// in it. `alerts`, when set, must outlive the sampler too: every tick
   /// evaluates its rules against the ring, embeds the AlertSnapshot into
   /// the telemetry snapshot, and folds watchdog escalations from firing
-  /// rules into the effective watchdog policy. Starts the background
-  /// thread unless options.interval_ms == 0.
+  /// rules into the effective watchdog policy. Unless options.interval_ms
+  /// == 0, records the history's baseline and starts the background
+  /// thread.
   TelemetrySampler(MetricsRegistry* metrics, InflightRegistry* inflight,
                    MetricsHistory* history, AlertEngine* alerts,
                    TelemetryOptions options);
